@@ -39,7 +39,7 @@ from .lindep import (
     cycle_weight,
     enumerate_simple_hcycles,
 )
-from .matrix2d import load, to_json_obj
+from .matrix2d import MAX_VARIABLES, load, to_json_obj
 from .solver import solve as run_solve
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-sweeps", type=int, default=None, metavar="N",
-            help="override the closure sweep cap",
+            help="override the cap on closure rounds",
         )
         if name == "solve":
             p.add_argument(
@@ -175,6 +175,11 @@ def run(
         else:
             print(f"{sub.value} / {exact.value}", file=out)
         return EXIT_OK
+
+    if n > MAX_VARIABLES:
+        raise SizeLimitError(
+            f"x{n} exceeds the supported maximum of {MAX_VARIABLES} variables"
+        )
 
     if cfg.command == "explain" and len(constraints) > _EXPLAIN_LIST_CAP:
         raise SizeLimitError(

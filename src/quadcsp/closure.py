@@ -1,17 +1,28 @@
 """Iterated tightening of a 2D bound matrix to (an approximation of) its
 canonical form.
 
-Each sweep visits every cell (i,j,p,q) and every intermediate pair (k,l),
-applying the two composition laws
+The closure applies the two composition laws
 
     M[i,j,p,q] <= M[i,j,k,l] + M[k,l,p,q]
     M[i,j,p,q] <= M[i,k,l,q] + M[k,j,p,l]
 
-followed by coherence normalization (class equality and doubled-cell
-coupling).  Sweeps repeat until nothing changes, capped at
-ceil((n+1)^4 / 2).  A zero-normal-vector cell dropping below zero is a
-derived contradiction "0 <= negative": the verdict turns infeasible and
-the run stops at the end of that sweep.
+in rounds, each followed by coherence normalization (class equality and
+doubled-cell coupling).  The first round of a close from scratch is a
+full sweep: every cell (i,j,p,q) against every intermediate pair (k,l),
+2(n+1)^6 candidates.  Every later round is semi-naive (delta-driven): it
+recombines only the cells lowered in the previous round, each as either
+operand of either law, 4(n+1)^2 candidates per lowered cell, and falls
+back to a full sweep when more than half of the (n+1)^4 cells were
+lowered.  A combination none of whose operands moved was already
+evaluated, so a round that lowers nothing proves stationarity just as a
+full sweep would.  A caller that lowered a few cells of a stationary
+matrix (a witness pin) passes them in, and even the first round is then
+delta-driven.
+
+Rounds repeat until nothing changes, capped at ceil((n+1)^4 / 2).  A
+zero-normal-vector cell dropping below zero is a derived contradiction
+"0 <= negative": the verdict turns infeasible and the run stops at the
+end of that round.
 
 Every update derives a valid consequence of the input constraints, so the
 result never under-approximates the true tightest bounds.  On octagon
@@ -51,6 +62,9 @@ class ClosureResult:
     feasible: bool
     sweeps_used: int
     exactness: Exactness
+    #: The last round lowered nothing: no law applies any more.  False
+    #: when the run stopped on infeasibility or at the round cap.
+    stationary: bool = False
 
 
 def sweep_cap(n: int) -> int:
@@ -144,6 +158,82 @@ def _sweep(cells: list[list], n: int, trace: dict | None = None) -> bool:
                 changed = True
                 if trace is not None:
                     trace[(r, c)] = term
+    return changed
+
+
+def _delta_round(
+    cells: list[list], n: int, lowered: Iterable[tuple[int, int]], trace: dict
+) -> bool:
+    """One semi-naive pass of both composition laws, in place.
+
+    Recombines each cell of ``lowered`` as either operand of either law
+    with the current value of the other operand; no other combination
+    is evaluated.  Cells are taken in row-major order and updated values
+    are used immediately, as in ``_sweep``.  Each changed cell maps in
+    ``trace`` to the term of its last (lowest) update.
+    """
+    np1 = n + 1
+    size = np1 * np1
+    base = [k * np1 for k in range(np1)]
+    changed = False
+    for r0, c0 in sorted(lowered):
+        v = cells[r0][c0]
+        # law 1, v = M[i,j,k,l]: M[i,j,p,q] <= v + M[k,l,p,q], every (p,q)
+        for r in range(size):
+            b = cells[r][r0]
+            if type(b) is not float:
+                cand = v + b
+                row_t = cells[r]
+                if cand < row_t[c0]:
+                    row_t[c0] = cand
+                    changed = True
+                    trace[(r, c0)] = ("sum", (r0, c0), (r, r0))
+        # law 1, v = M[k,l,p,q]: M[i,j,p,q] <= M[i,j,k,l] + v, every (i,j)
+        row_a = cells[c0]
+        row_t = cells[r0]
+        for c in range(size):
+            a = row_a[c]
+            if type(a) is not float:
+                cand = a + v
+                if cand < row_t[c]:
+                    row_t[c] = cand
+                    changed = True
+                    trace[(r0, c)] = ("sum", (c0, c), (r0, c0))
+        # law 2, v = M[i,k,l,q]: M[i,j,p,q] <= v + M[k,j,p,l], every p, j
+        l, q = divmod(r0, np1)
+        i, k = divmod(c0, np1)
+        ibase, kbase = base[i], base[k]
+        for p in range(np1):
+            rb = base[p] + l
+            row_b = cells[rb]
+            row_t = cells[base[p] + q]
+            for j in range(np1):
+                b = row_b[kbase + j]
+                if type(b) is not float:
+                    cand = v + b
+                    if cand < row_t[ibase + j]:
+                        row_t[ibase + j] = cand
+                        changed = True
+                        trace[(base[p] + q, ibase + j)] = (
+                            "sum", (r0, c0), (rb, kbase + j)
+                        )
+        # law 2, v = M[k,j,p,l]: M[i,j,p,q] <= M[i,k,l,q] + v, every q, i
+        p, l = divmod(r0, np1)
+        k, j = divmod(c0, np1)
+        pbase, lbase = base[p], base[l]
+        for q in range(np1):
+            row_a = cells[lbase + q]
+            row_t = cells[pbase + q]
+            for i in range(np1):
+                a = row_a[base[i] + k]
+                if type(a) is not float:
+                    cand = a + v
+                    if cand < row_t[base[i] + j]:
+                        row_t[base[i] + j] = cand
+                        changed = True
+                        trace[(pbase + q, base[i] + j)] = (
+                            "sum", (lbase + q, base[i] + k), (r0, c0)
+                        )
     return changed
 
 
@@ -304,21 +394,30 @@ def close(
     matrix: Matrix2D,
     subclass: Subclass | None = None,
     max_sweeps: int | None = None,
+    lowered: Iterable[tuple[int, int]] | None = None,
 ) -> ClosureResult:
-    """Tighten a copy of ``matrix`` to stationarity (or the sweep cap).
+    """Tighten a copy of ``matrix`` to stationarity (or the round cap).
 
     ``subclass`` is the classification of the constraints the matrix was
     loaded from; without it the result is conservatively tagged as an
     upper approximation (the normalized matrix alone no longer determines
     the original syntactic shape).  ``max_sweeps`` overrides the default
-    cap.
+    round cap.
+
+    Rounds: the first is a full sweep, every later one recombines only
+    the cells lowered by the round before (see the module docstring).
+    ``lowered`` seeds the first round instead: the (row, col) cells
+    lowered since ``matrix`` was last stationary, for instance by a
+    witness pin.  Cells that the initial normalization lowers join it.
+    ``sweeps_used`` counts rounds of either kind.
 
     An input whose zero-vector class is already negative returns
     immediately (sweeps_used = 0), which keeps close idempotent on its
     own outputs despite the early exit on infeasibility.
     """
     m = matrix.copy()
-    m._normalize()
+    trace: dict = {}
+    m._normalize(trace)
     if m.has_negative_zero_cell():
         return ClosureResult(
             matrix=m,
@@ -326,6 +425,9 @@ def close(
             sweeps_used=0,
             exactness=Exactness.UPPER_APPROX,
         )
+    # cells lowered since the last stationary point; None: unknown
+    delta = None if lowered is None else set(lowered) | trace.keys()
+    full_above = (m.n + 1) ** 4 // 2
     cap = sweep_cap(m.n) if max_sweeps is None else max_sweeps
     sweeps = 0
     stationary = False
@@ -333,8 +435,11 @@ def close(
     recent: dict = {}
     while sweeps < cap:
         sweeps += 1
-        trace: dict = {}
-        changed = _sweep(m.cells, m.n, trace)
+        trace = {}
+        if delta is None or len(delta) > full_above:
+            changed = _sweep(m.cells, m.n, trace)
+        else:
+            changed = _delta_round(m.cells, m.n, delta, trace)
         changed = m._normalize(trace) or changed
         if m.has_negative_zero_cell():
             feasible = False
@@ -342,6 +447,7 @@ def close(
         if not changed:
             stationary = True
             break
+        delta = set(trace)
         for cell, term in trace.items():
             recent[cell] = (sweeps, term)
         if sweeps >= _ACCEL_START and sweeps % _ACCEL_EVERY == 0:
@@ -356,7 +462,10 @@ def close(
                     for (r, c), value in jump.items():
                         if value < m.cells[r][c]:
                             m.cells[r][c] = value
-                    m._normalize()
+                            delta.add((r, c))
+                    jumped: dict = {}
+                    m._normalize(jumped)
+                    delta.update(jumped)
                     if m.has_negative_zero_cell():
                         feasible = False
                         break
@@ -371,4 +480,5 @@ def close(
         feasible=feasible,
         sweeps_used=sweeps,
         exactness=Exactness.EXACT if exact else Exactness.UPPER_APPROX,
+        stationary=stationary,
     )

@@ -31,7 +31,9 @@ from .core import (
     parse_rational,
 )
 
-#: Hard cap on n; a matrix has (n+1)^4 cells and closure is O(n^10).
+#: Hard cap on n.  A matrix has (n+1)^4 cells; a full closure round
+#: evaluates 2(n+1)^6 candidates, a delta round 4(n+1)^2 per cell the
+#: round before lowered, and up to ceil((n+1)^4 / 2) rounds may run.
 MAX_VARIABLES = 32
 
 

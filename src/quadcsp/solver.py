@@ -9,7 +9,12 @@ the closed bound may overshoot the true supremum, so a pin can make the
 system genuinely infeasible.  The closure detects this (its
 contradictions are always real) and the pin falls back to the oracle's
 exact supremum of that variable, which is attained, keeping the loop
-sound on every input.
+sound on every input.  The oracle runs on the input constraints plus the
+pins so far, the same polyhedron as the pinned matrix in far fewer rows.
+
+A pin lowers only the two cells of xi's bounds on a matrix that was
+stationary, so its re-close is seeded with those cells (see
+closure.close) instead of starting with a full sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .closure import ClosureResult, classify, close
-from .core import INF, Bound, Constraint4, is_finite, satisfies
+from .core import (
+    INF,
+    Bound,
+    Constraint4,
+    is_finite,
+    make_constraint,
+    satisfies,
+)
 from .fmoracle import LinearSystem, fm_solution, fm_tight_bound
 from .matrix2d import Matrix2D, load, to_constraints
 
@@ -60,25 +72,34 @@ def is_bounded(closed: Matrix2D) -> bool:
 
 
 def _pin(
-    m: Matrix2D, i: int, value: Fraction, max_sweeps: int | None
+    m: Matrix2D,
+    i: int,
+    value: Fraction,
+    max_sweeps: int | None,
+    stationary: bool,
 ) -> ClosureResult:
+    """Close ``m`` with xi pinned to ``value``.  On a stationary ``m``
+    only the two pinned cells (and what normalization lowers with them)
+    seed the closure; otherwise it starts with a full sweep."""
     trial = m.copy()
     trial.set_min(i, 0, 0, 0, value)
     trial.set_min(0, i, 0, 0, -value)
-    trial.normalize()
-    return close(trial, max_sweeps=max_sweeps)
+    np1 = m.n + 1
+    lowered = [(0, i * np1), (0, i)] if stationary else None
+    return close(trial, max_sweeps=max_sweeps, lowered=lowered)
 
 
-def _oracle_system(m: Matrix2D) -> LinearSystem:
-    # The finite cells describe exactly the polyhedron of the original
-    # constraints plus any pins applied so far.
-    return LinearSystem.from_constraints(to_constraints(m), m.n)
+def _pin_constraints(i: int, value: Fraction) -> list[Constraint4]:
+    """xi <= value and -xi <= -value."""
+    return [make_constraint([i], [], value), make_constraint([], [i], -value)]
 
 
 def extract_witness(
     closed: Matrix2D,
     pin_unbounded_to_zero: bool = False,
     max_sweeps: int | None = None,
+    constraints: Sequence[Constraint4] | None = None,
+    stationary: bool = False,
 ) -> tuple[Fraction, ...]:
     """A valuation satisfying every finite cell of a closed matrix.
 
@@ -86,10 +107,24 @@ def extract_witness(
     ``pin_unbounded_to_zero`` is set, in which case each unbounded
     variable is first pinned to the point of its interval closest to 0
     (oracle-assisted when the closed interval overshoots).
+
+    ``constraints`` are the constraints ``closed`` was closed from; when
+    given, oracle fallbacks run on them plus the pins applied so far
+    rather than on every finite class of ``closed``.  ``stationary``
+    says that ``closed`` is a stationary closure result
+    (``ClosureResult.stationary``), so the first pin re-closes from its
+    pinned cells only.
+
+    Raises RuntimeError when an oracle fallback does not yield an
+    attainable value, which would be an internal error.
     """
     if closed.has_negative_zero_cell():
         raise ValueError("cannot extract a witness from an infeasible matrix")
     m = closed.copy()
+    # Oracle fallbacks run on these plus the pins so far: the polyhedron
+    # of the pinned matrix, in far fewer rows than its finite classes.
+    source = to_constraints(closed) if constraints is None else list(constraints)
+    pins: list[Constraint4] = []
 
     if not is_bounded(m):
         if not pin_unbounded_to_zero:
@@ -106,30 +141,53 @@ def extract_witness(
                 break
             i = unbounded[0]
             lo, hi = reduce_domains(m)[i - 1]
-            candidate = Fraction(max(lo, min(hi, Fraction(0))))
-            trial = _pin(m, i, candidate, max_sweeps)
+            value = Fraction(max(lo, min(hi, Fraction(0))))
+            trial = _pin(m, i, value, max_sweeps, stationary)
             if not trial.feasible:
-                point = fm_solution(_oracle_system(m))
-                assert point is not None
-                trial = _pin(m, i, point[i], max_sweeps)
-                assert trial.feasible
+                system = LinearSystem.from_constraints(source + pins, m.n)
+                point = fm_solution(system)
+                if point is None:
+                    raise RuntimeError(
+                        "internal error: oracle finds no point of a "
+                        "feasible system"
+                    )
+                value = point[i]
+                trial = _pin(m, i, value, max_sweeps, stationary)
+                if not trial.feasible:
+                    raise RuntimeError(
+                        f"internal error: pinning x{i} to the oracle's "
+                        f"point {value} is infeasible"
+                    )
             m = trial.matrix
+            stationary = trial.stationary
+            pins += _pin_constraints(i, value)
 
     values: list[Fraction] = [Fraction(0)]
     for i in range(1, m.n + 1):
         hi = m.get(i, 0, 0, 0)
-        assert is_finite(hi)
-        trial = _pin(m, i, hi, max_sweeps)
+        if not is_finite(hi):
+            raise RuntimeError(f"internal error: x{i} is unbounded above")
+        trial = _pin(m, i, hi, max_sweeps, stationary)
         if not trial.feasible:
             # approximation artifact: the closed bound is not attained
             objective = [0] * (m.n + 1)
             objective[i] = 1
-            true_sup = fm_tight_bound(_oracle_system(m), objective)
-            assert is_finite(true_sup)
-            trial = _pin(m, i, true_sup, max_sweeps)
-            assert trial.feasible
-            hi = true_sup
+            system = LinearSystem.from_constraints(source + pins, m.n)
+            hi = fm_tight_bound(system, objective)
+            if hi is None or not is_finite(hi):
+                raise RuntimeError(
+                    f"internal error: oracle gives no finite supremum of "
+                    f"x{i}: {hi}"
+                )
+            trial = _pin(m, i, hi, max_sweeps, stationary)
+            if not trial.feasible:
+                raise RuntimeError(
+                    f"internal error: pinning x{i} to the oracle's "
+                    f"supremum {hi} is infeasible"
+                )
         m = trial.matrix
+        stationary = trial.stationary
+        pins += _pin_constraints(i, hi)
         values.append(Fraction(hi))
     return tuple(values)
 
@@ -159,6 +217,8 @@ def solve(
             closed.matrix,
             pin_unbounded_to_zero=witness_anyway,
             max_sweeps=max_sweeps,
+            constraints=constraints,
+            stationary=closed.stationary,
         )
         bad = [c for c in constraints if not satisfies(c, witness)]
         if bad:

@@ -210,6 +210,14 @@ class TestMainEntry:
         f.write_text("\n".join(f"x1 <= {k}" for k in range(20)))
         assert main(["explain", str(f)]) == EXIT_USAGE
 
+    def test_too_many_variables_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "wide.txt"
+        f.write_text("x40 <= 3\n")
+        assert main(["check", str(f)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_comments_only_file(self, tmp_path, capsys):
         f = tmp_path / "empty.txt"
         f.write_text("# nothing here\n\n")

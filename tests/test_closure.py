@@ -6,6 +6,7 @@ from fractions import Fraction
 from quadcsp.closure import (
     Exactness,
     Subclass,
+    _sweep,
     classify,
     close,
     exactness_of,
@@ -21,6 +22,7 @@ from quadcsp.matrix2d import (
     satisfies,
 )
 from gen import (
+    box_constraints,
     random_general_constraint,
     random_lower_bound_constraint,
     random_matrix,
@@ -324,3 +326,99 @@ class TestClosureLaws:
                 for l in range(np1):
                     assert v <= m.get(i, j, k, l) + m.get(k, l, p, q)
                     assert v <= m.get(i, k, l, q) + m.get(k, j, p, l)
+
+
+def reference_close(matrix, cap):
+    """Plain iteration of full sweeps and normalization, no acceleration:
+    (matrix, feasible, stationary) after at most ``cap`` sweeps."""
+    m = matrix.copy()
+    m._normalize()
+    if m.has_negative_zero_cell():
+        return m, False, False
+    for _ in range(cap):
+        changed = _sweep(m.cells, m.n)
+        changed = m._normalize() or changed
+        if m.has_negative_zero_cell():
+            return m, False, False
+        if not changed:
+            return m, True, True
+    return m, True, False
+
+
+GENERATORS = {
+    "octagon": random_octagon_constraint,
+    "upper": random_upper_bound_constraint,
+    "lower": random_lower_bound_constraint,
+    "general": random_general_constraint,
+}
+
+
+def differential_cases(seed, per_n):
+    """(label, matrix, subclass) over every generator and n = 1..4."""
+    rng = random.Random(seed)
+    for n in range(1, 5):
+        for _ in range(per_n):
+            yield f"matrix n={n}", random_matrix(rng, n), None
+            for name, make in GENERATORS.items():
+                cs = [make(rng, n) for _ in range(rng.randint(1, 2 * n))]
+                if rng.random() < 0.5:
+                    cs += box_constraints(n, 12)
+                yield f"{name} n={n} {cs}", load(cs, n), classify(cs)
+
+
+class TestSemiNaiveRounds:
+    """Delta-driven rounds against full sweeps, cell for cell."""
+
+    def test_close_matches_full_sweep_reference(self):
+        stationary_seen = 0
+        for label, matrix, sub in differential_cases(seed=101, per_n=3):
+            result = close(matrix, subclass=sub)
+            assert result.sweeps_used <= sweep_cap(matrix.n), label
+            want, feasible, stationary = reference_close(matrix, cap=40)
+            if not feasible:
+                assert not result.feasible, label
+            elif stationary:
+                stationary_seen += 1
+                assert result.feasible and result.stationary, label
+                assert result.matrix == want, label
+            again = close(result.matrix, subclass=sub)
+            assert again.matrix == result.matrix, label
+            assert again.sweeps_used == (1 if result.feasible else 0), label
+        assert stationary_seen >= 40
+
+    def test_seeded_pin_matches_unseeded(self):
+        rng = random.Random(103)
+        compared = 0
+        for label, matrix, sub in differential_cases(seed=107, per_n=3):
+            base = close(matrix, subclass=sub)
+            if not base.stationary:
+                continue
+            n = matrix.n
+            i = rng.randint(1, n)
+            hi = base.matrix.get(i, 0, 0, 0)
+            neg_lo = base.matrix.get(0, i, 0, 0)
+            if isinstance(hi, float):
+                hi = Fraction(rng.randint(-10, 10))
+            # the closed upper end, or a value outside the interval
+            value = hi if rng.random() < 0.7 else hi + 1
+            if not isinstance(neg_lo, float) and rng.random() < 0.2:
+                value = -neg_lo - 1
+            trial = base.matrix.copy()
+            trial.set_min(i, 0, 0, 0, value)
+            trial.set_min(0, i, 0, 0, -value)
+            np1 = n + 1
+            seeded = close(trial, subclass=sub, lowered=[(0, i * np1), (0, i)])
+            full = close(trial, subclass=sub)
+            assert seeded.feasible == full.feasible, label
+            assert seeded.exactness is full.exactness, label
+            assert seeded.stationary == full.stationary, label
+            if full.stationary:
+                assert seeded.matrix == full.matrix, label
+                compared += 1
+        assert compared >= 30
+
+    def test_seed_from_closed_input_is_one_round(self):
+        result, _, _ = closed_seven()
+        again = close(result.matrix, lowered=[])
+        assert again.sweeps_used == 1 and again.stationary
+        assert again.matrix == result.matrix

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import quadcsp.solver as solver_module
 from quadcsp.closure import classify, close
 from quadcsp.core import INF, make_constraint, parse_constraints, satisfies
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_solution, fm_tight_bound
@@ -110,6 +111,102 @@ class TestExtractWitness:
         result, cs, n = closed_matrix("x1 - x2 <= 3\nx1 >= 5", n=2)
         nu = extract_witness(result.matrix, pin_unbounded_to_zero=True)
         assert all(satisfies(c, nu) for c in cs)
+
+    def test_seeded_pins_match_full_pins(self):
+        # A stationary base lets each pin re-close from its pinned
+        # cells only; the witness is the one full re-closes give.
+        rng = random.Random(89)
+        done = 0
+        while done < 6:
+            n = rng.randint(2, 4)
+            cs = [
+                random_octagon_constraint(rng, n) for _ in range(rng.randint(1, 6))
+            ] + box_constraints(n, 12)
+            result = close(load(cs, n), subclass=classify(cs))
+            if not result.feasible:
+                continue
+            assert result.stationary
+            seeded = extract_witness(result.matrix, stationary=True)
+            assert seeded == extract_witness(result.matrix)
+            done += 1
+
+
+# x1's closed upper bound 9/4 overshoots the true supremum 1/3, so the
+# pin of x1 falls back to the oracle.
+OVERSHOOT = (
+    "x2 <= 2\nx2 - x1 <= 3\nx1 + x2 <= -4\nx1 + x1 - x2 <= 5\n"
+    "x1 >= -20\nx2 >= -20"
+)
+
+# Pinning x1 to 0 in witness_anyway mode overshoots; the oracle's point
+# is used instead.
+UNBOUNDED_OVERSHOOT = "x1 - x2 - x2 <= 6\nx1 + x2 <= -1\nx1 - x2 - x2 <= -4"
+
+# A general-form system whose oracle fallback, run on every finite class
+# of the closed matrix (about 130 rows), exceeded the elimination row
+# budget; the 13 input rows plus the pins eliminate easily.
+ROW_BUDGET_CASE = """
+x1 <= 8
+x1 >= -7
+x2 <= 5
+x2 >= -1
+x3 <= 8
+x3 >= -5
+x4 <= 5
+x4 >= -2
+x4 + x1 - x3 - x2 <= 3/2
+x2 + x1 - x4 <= 0
+x3 - x1 - x2 <= -3/2
+x1 + x3 - x2 <= 3
+x4 + x2 - x3 - x1 <= 9
+"""
+
+
+class TestOracleFallback:
+    def test_fallback_runs_on_input_rows_and_pins(self, monkeypatch):
+        systems = []
+        original = solver_module.fm_tight_bound
+
+        def recording(system, objective):
+            systems.append(system)
+            return original(system, objective)
+
+        monkeypatch.setattr(solver_module, "fm_tight_bound", recording)
+        cs, n = parse_constraints(OVERSHOOT)
+        report = solve(cs, n)
+        assert report.witness == (Fraction(0), Fraction(1, 3), Fraction(-13, 3))
+        assert len(systems) == 1
+        # the input rows plus the two that fix x0 = 0; no pin precedes x1
+        assert len(systems[0].rows) <= len(cs) + 2
+
+    def test_row_budget_case_solves(self):
+        cs, n = parse_constraints(ROW_BUDGET_CASE)
+        report = solve(cs, n)
+        assert report.feasible
+        assert report.witness is not None
+        assert all(satisfies(c, report.witness) for c in cs)
+
+    @pytest.mark.parametrize("answer", [None, INF, Fraction(9, 4)])
+    def test_failed_supremum_is_internal_error(self, monkeypatch, answer):
+        # None and +inf are no supremum; 9/4 is the overshooting closed
+        # bound itself, so the re-pin stays infeasible.
+        monkeypatch.setattr(
+            solver_module, "fm_tight_bound", lambda system, objective: answer
+        )
+        cs, n = parse_constraints(OVERSHOOT)
+        with pytest.raises(RuntimeError, match="internal error"):
+            solve(cs, n)
+
+    def test_failed_point_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "fm_solution", lambda system: None)
+        cs, n = parse_constraints(UNBOUNDED_OVERSHOOT)
+        with pytest.raises(RuntimeError, match="internal error"):
+            solve(cs, n, witness_anyway=True)
+
+    def test_unbounded_fallback_witness(self):
+        cs, n = parse_constraints(UNBOUNDED_OVERSHOOT)
+        report = solve(cs, n, witness_anyway=True)
+        assert all(satisfies(c, report.witness) for c in cs)
 
 
 class TestSolve:
