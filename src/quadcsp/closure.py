@@ -24,15 +24,28 @@ zero-normal-vector cell dropping below zero is a derived contradiction
 "0 <= negative": the verdict turns infeasible and the run stops at the
 end of that round.
 
+Arithmetic is exact and runs on plain ints.  On entry the finite cells
+are scaled to one common denominator D, the lcm of their denominators,
+and each is stored as the int v * D (+inf stays +inf); on exit every
+finite cell turns back into Fraction(v, D), so callers only ever see
+Fractions.  Sums and comparisons of scaled cells are those of the
+rationals they stand for, so every round takes the same path as it would
+on Fractions.  Two steps leave the integers, and each rescales the whole
+matrix first: halving an odd doubled cell doubles D, and an accepted
+acceleration jump whose values have denominator f (over D) multiplies D
+by f.  The jump's own linear solve stays on Fractions.
+
 Every update derives a valid consequence of the input constraints, so the
 result never under-approximates the true tightest bounds.  On octagon
 inputs the fixpoint is exactly the canonical form; otherwise it is an
-upper approximation (see exactness_of for why the three-variable shapes
-are not exact).
+upper approximation: some tightest bounds need a combination the laws
+never form (a sum u + w = 2v where 2v is not a cell, or a coefficient 3;
+see exactness_of).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -95,10 +108,17 @@ def exactness_of(sub: Subclass) -> Exactness:
 
     Only Octagon inputs are guaranteed exact.  The three-variable
     UpperBound/LowerBound shapes admit systems whose tightest bounds
-    need combinations with coefficient 3 (e.g. adding x1 + x2 <= a to
-    2x2 - x1 <= b gives 3x2 <= a + b), which no sequence of pairwise
-    compositions and halvings reaches: the closure is then stationary
-    strictly above the canonical form, so those classes are honestly
+    need combinations that no sequence of pairwise compositions and
+    halvings reaches:
+
+    - a sum u + w = 2v where 2v is not a cell: 2x1 - x4 <= 7 plus
+      2x2 - x4 <= -3/2 gives 2(x1 + x2 - x4) <= 11/2, but only the
+      doubled differences 2xi - 2xj have a cell that halving reads;
+    - a coefficient 3: adding x1 + x2 <= a to 2x2 - x1 <= b gives
+      3x2 <= a + b, which no composition divides by 3.
+
+    The closure is then stationary strictly above the canonical form
+    (or leaves the class at +inf), so those classes are honestly
     reported as upper approximations.
     """
     if sub is Subclass.OCTAGON:
@@ -390,6 +410,39 @@ def _policy_fixpoint(eqs: dict, cells: list[list]):
     return resolved
 
 
+def _scaled(cells: list[list]) -> tuple[list[list], int]:
+    """Integer copy of ``cells`` over the lcm D of their denominators:
+    each finite cell v becomes the int v * D, +inf stays."""
+    denom = math.lcm(
+        *{v.denominator for row in cells for v in row if type(v) is not float}
+    )
+    return [
+        [
+            v if type(v) is float else v.numerator * (denom // v.denominator)
+            for v in row
+        ]
+        for row in cells
+    ], denom
+
+
+def _unscaled(cells: list[list], denom: int) -> list[list]:
+    """Fraction cells v / D of an integer matrix over denominator D."""
+    # the cells of one normal-vector class hold one value: build it once
+    memo: dict = {}
+    out = []
+    for row in cells:
+        new = []
+        for v in row:
+            if type(v) is not float:
+                f = memo.get(v)
+                if f is None:
+                    f = memo[v] = Fraction(v, denom)
+                v = f
+            new.append(v)
+        out.append(new)
+    return out
+
+
 def close(
     matrix: Matrix2D,
     subclass: Subclass | None = None,
@@ -414,33 +467,38 @@ def close(
     An input whose zero-vector class is already negative returns
     immediately (sweeps_used = 0), which keeps close idempotent on its
     own outputs despite the early exit on infeasibility.
+
+    The rounds run on ints over one common denominator (see the module
+    docstring); the result's finite cells are Fractions again.
     """
-    m = matrix.copy()
+    cells, denom = _scaled(matrix.cells)
+    m = Matrix2D(matrix.n, cells)
+
+    def rescale(factor: int) -> None:
+        nonlocal denom
+        denom *= factor
+        for row in cells:
+            row[:] = [v if type(v) is float else v * factor for v in row]
+
     trace: dict = {}
-    m._normalize(trace)
-    if m.has_negative_zero_cell():
-        return ClosureResult(
-            matrix=m,
-            feasible=False,
-            sweeps_used=0,
-            exactness=Exactness.UPPER_APPROX,
-        )
+    m._normalize(trace, rescale)
+    # a zero-vector class already negative: no round runs
+    feasible = not m.has_negative_zero_cell()
     # cells lowered since the last stationary point; None: unknown
     delta = None if lowered is None else set(lowered) | trace.keys()
     full_above = (m.n + 1) ** 4 // 2
     cap = sweep_cap(m.n) if max_sweeps is None else max_sweeps
     sweeps = 0
     stationary = False
-    feasible = True
     recent: dict = {}
-    while sweeps < cap:
+    while feasible and sweeps < cap:
         sweeps += 1
         trace = {}
         if delta is None or len(delta) > full_above:
-            changed = _sweep(m.cells, m.n, trace)
+            changed = _sweep(cells, m.n, trace)
         else:
-            changed = _delta_round(m.cells, m.n, delta, trace)
-        changed = m._normalize(trace) or changed
+            changed = _delta_round(cells, m.n, delta, trace)
+        changed = m._normalize(trace, rescale) or changed
         if m.has_negative_zero_cell():
             feasible = False
             break
@@ -457,14 +515,23 @@ def close(
                 if step > sweeps - 2
             }
             if eqs:
-                jump = _policy_fixpoint(eqs, m.cells)
+                jump = _policy_fixpoint(eqs, cells)
                 if jump:
-                    for (r, c), value in jump.items():
-                        if value < m.cells[r][c]:
-                            m.cells[r][c] = value
-                            delta.add((r, c))
+                    lower = {
+                        (r, c): value
+                        for (r, c), value in jump.items()
+                        if value < cells[r][c]
+                    }
+                    factor = math.lcm(*(v.denominator for v in lower.values()))
+                    if factor > 1:
+                        rescale(factor)
+                    for (r, c), value in lower.items():
+                        cells[r][c] = value.numerator * (
+                            factor // value.denominator
+                        )
+                        delta.add((r, c))
                     jumped: dict = {}
-                    m._normalize(jumped)
+                    m._normalize(jumped, rescale)
                     delta.update(jumped)
                     if m.has_negative_zero_cell():
                         feasible = False
@@ -476,7 +543,7 @@ def close(
         and exactness_of(subclass) is Exactness.EXACT
     )
     return ClosureResult(
-        matrix=m,
+        matrix=Matrix2D(m.n, _unscaled(cells, denom)),
         feasible=feasible,
         sweeps_used=sweeps,
         exactness=Exactness.EXACT if exact else Exactness.UPPER_APPROX,

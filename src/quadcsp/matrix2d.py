@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     INF,
@@ -150,13 +150,22 @@ class Matrix2D:
         self._normalize()
         return self
 
-    def _normalize(self, trace: dict | None = None) -> bool:
+    def _normalize(
+        self,
+        trace: dict | None = None,
+        rescale: Callable[[int], None] | None = None,
+    ) -> bool:
         """In-place normalization; True when any cell changed.
 
         With ``trace`` given, records for every changed cell the term
         its new value came from: ("copy", cell), ("half", cell) or
         ("double", cell).  The closure's fixpoint acceleration consumes
         these.
+
+        Cells are Fractions, or (inside the closure) ints that count
+        units of one common denominator.  An odd int cannot be halved in
+        place, so before halving one ``rescale(2)`` is called, which
+        must double every finite cell (and the denominator with them).
         """
         cells = self.cells
         changed = False
@@ -177,19 +186,21 @@ class Matrix2D:
             r2, c2 = members[0]
             b2 = cells[r2][c2]
             bjj = cells[rjj][cjj]
-            new2 = b2
-            if not isinstance(bjj, float):
-                half = bjj / 2
-                if half < new2:
-                    new2 = half
-            if new2 != b2:
+            if not isinstance(bjj, float) and bjj < 2 * b2:
+                if type(bjj) is int:
+                    if bjj & 1:
+                        rescale(2)
+                        bjj = cells[rjj][cjj]
+                    b2 = bjj // 2
+                else:
+                    b2 = bjj / 2
                 for r, c in members:
-                    cells[r][c] = new2
+                    cells[r][c] = b2
                     if trace is not None:
                         trace[(r, c)] = ("half", (rjj, cjj))
                 changed = True
-            if not isinstance(new2, float):
-                dbl = 2 * new2
+            elif not isinstance(b2, float):
+                dbl = 2 * b2
                 if dbl < bjj:
                     cells[rjj][cjj] = dbl
                     changed = True

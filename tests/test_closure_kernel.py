@@ -1,0 +1,198 @@
+"""Closure arithmetic: integer rounds over one common denominator.
+
+``close`` scales the matrix to ints on entry and back to Fractions on
+exit; halving an odd cell and accepting a fixpoint jump with a new
+denominator rescale it on the way.  These tests check each rescaling
+path cell for cell (against the Fraction-only ``reference_close`` where
+that reaches stationarity, else against values pinned from the Fraction
+closure), the Fraction type of every result cell on every exit, and a
+hypothesis-drawn differential against ``reference_close``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from quadcsp.closure import classify, close
+from quadcsp.core import INF, make_constraint, parse_constraints
+from quadcsp.matrix2d import from_json, load, new_matrix
+from test_closure import reference_close
+
+
+def closed(text, **kwargs):
+    cs, n = parse_constraints(text)
+    matrix = load(cs, n)
+    return close(matrix, subclass=classify(cs), **kwargs), matrix
+
+
+def assert_fraction_cells(matrix):
+    for row in matrix.cells:
+        for v in row:
+            assert type(v) is Fraction or (type(v) is float and v == INF), v
+
+
+def assert_matches_reference(result, matrix):
+    want, feasible, stationary = reference_close(matrix, cap=40)
+    assert feasible and stationary
+    assert result.matrix == want
+    assert_fraction_cells(result.matrix)
+
+
+class TestRescaling:
+    def test_odd_halving_from_unit_denominator(self):
+        # 2x1 - 2x2 <= 1 halves to x1 - x2 <= 1/2: D = 1 doubles to 2.
+        # Stored unnormalized (load would halve it before close).
+        matrix = new_matrix(2).set_min(1, 2, 2, 1, Fraction(1))
+        result = close(matrix)
+        assert result.stationary and result.sweeps_used == 1
+        assert result.matrix.get(1, 2, 0, 0) == Fraction(1, 2)
+        assert_matches_reference(result, matrix)
+
+    def test_odd_halving_of_a_derived_cell(self):
+        # (x1 - x2 - x3 <= 0) + (x1 - x2 + x3 <= 1) gives 2x1 - 2x2 <= 1
+        # in the first round, from D = 1
+        result, loaded = closed("x1 - x2 - x3 <= 0\nx1 - x2 + x3 <= 1")
+        assert result.stationary
+        assert result.matrix.get(1, 2, 0, 0) == Fraction(1, 2)
+        assert_matches_reference(result, loaded)
+
+    def test_mixed_input_denominators(self):
+        # D = lcm(3, 5, 2) = 30; 2x1 <= 23/6 is 115/30, odd, so the
+        # halving to x1 <= 23/12 doubles D to 60
+        result, loaded = closed(
+            "x1 + x2 <= 1/3\nx1 - x2 <= 7/2\nx2 - x3 - x1 <= 1/5\n"
+            "x3 <= 1\n- x3 <= 2"
+        )
+        assert result.stationary and result.sweeps_used == 3
+        assert result.matrix.get(1, 0, 0, 0) == Fraction(23, 12)
+        assert result.matrix.get(2, 0, 0, 0) == Fraction(23, 30)
+        assert_matches_reference(result, loaded)
+
+    def test_non_dyadic_acceleration_jump(self):
+        # Compositions and halvings keep every value dyadic over the
+        # input's denominator 2, so the plain rounds only approach the
+        # limit; the policy-fixpoint jump lands on thirds and multiplies
+        # D by 3.  The full-sweep reference is not stationary here, so
+        # the matrix is pinned from the Fraction closure.
+        result, loaded = closed(JUMP_TEXT)
+        assert result.feasible and result.stationary
+        assert result.sweeps_used == 9
+        assert result.matrix.get(0, 1, 0, 0) == Fraction(8, 3)
+        assert result.matrix.get(0, 2, 0, 0) == Fraction(11, 6)
+        assert result.matrix == from_json(JUMP_CLOSED)
+        assert_fraction_cells(result.matrix)
+        assert not reference_close(loaded, cap=40)[2]
+        again = close(result.matrix)
+        assert again.sweeps_used == 1 and again.matrix == result.matrix
+
+
+JUMP_TEXT = (
+    "x2 - x1 - x1 <= 7/2\nx1 - x2 - x2 <= 1\n- x1 - x2 <= 1/2\n- x1 <= 7"
+)
+JUMP_CLOSED = (
+    '{"n":2,"cells":[[0,1,"8/3"],[0,2,"11/6"],[3,0,"8/3"],[3,1,"16/3"],'
+    '[3,2,"1/2"],[3,4,"8/3"],[3,5,"11/6"],[3,7,"7/2"],[3,8,"8/3"],'
+    '[4,1,"8/3"],[4,2,"11/6"],[5,1,"7/2"],[5,2,"8/3"],[6,0,"11/6"],'
+    '[6,1,"1/2"],[6,2,"11/3"],[6,4,"11/6"],[6,5,"1"],[6,7,"8/3"],'
+    '[6,8,"11/6"],[7,1,"11/6"],[7,2,"1"],[8,1,"8/3"],[8,2,"11/6"]]}'
+)
+
+
+class TestFractionBoundary:
+    """Every finite result cell is a Fraction, never an int: Fraction(3)
+    == 3, so no equality test would notice a leaked int."""
+
+    def test_negative_zero_class_on_entry(self):
+        first, _ = closed("x1 - x2 <= 1/2\nx2 - x1 <= -2")
+        again = close(first.matrix)
+        assert not again.feasible and again.sweeps_used == 0
+        assert_fraction_cells(again.matrix)
+
+    def test_infeasible_mid_run(self):
+        result, _ = closed("x1 - x2 <= 1/2\nx2 - x1 <= -2")
+        assert not result.feasible and result.sweeps_used >= 1
+        assert_fraction_cells(result.matrix)
+
+    def test_stationary(self):
+        result, _ = closed("x1 + x2 <= 3\nx1 - x2 <= 1/3\n- x1 <= 2")
+        assert result.stationary
+        assert_fraction_cells(result.matrix)
+        # the zero-vector cells are finite too
+        assert type(result.matrix.get(1, 1, 0, 0)) is Fraction
+
+    def test_stopped_by_max_sweeps(self):
+        for cap in (1, 8):
+            result, _ = closed(JUMP_TEXT, max_sweeps=cap)
+            assert result.sweeps_used == cap and not result.stationary
+            assert_fraction_cells(result.matrix)
+
+    def test_empty_matrix(self):
+        result = close(new_matrix(2))
+        assert result.stationary
+        assert_fraction_cells(result.matrix)
+
+
+# -- hypothesis differential -------------------------------------------------
+
+bounds = st.builds(
+    Fraction, st.integers(-10, 10), st.sampled_from([1, 1, 2, 3, 4, 5])
+)
+
+
+@st.composite
+def constraint_sets(draw):
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n)
+    cs = []
+    for _ in range(draw(st.integers(1, 2 * n + 1))):
+        quad = [draw(index) for _ in range(4)]
+        c = make_constraint(quad[:2], quad[2:], draw(bounds))
+        if any(c.indices()):
+            cs.append(c)
+    return cs, n
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n)
+    m = new_matrix(n)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j, p, q = (draw(index) for _ in range(4))
+        m.set_min(i, j, p, q, draw(bounds))
+    return m.normalize()
+
+
+DIFFERENTIAL = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def check_against_reference(matrix, subclass=None):
+    result = close(matrix, subclass=subclass)
+    assert_fraction_cells(result.matrix)
+    want, feasible, stationary = reference_close(matrix, cap=25)
+    if not feasible:
+        assert not result.feasible
+    elif stationary:
+        assert result.feasible and result.stationary
+        assert result.matrix == want
+
+
+class TestDifferential:
+    @DIFFERENTIAL
+    @given(constraint_sets())
+    def test_constraint_sets(self, drawn):
+        cs, n = drawn
+        assume(cs)
+        check_against_reference(load(cs, n), classify(cs))
+
+    @DIFFERENTIAL
+    @given(matrices())
+    def test_matrices(self, matrix):
+        check_against_reference(matrix)
