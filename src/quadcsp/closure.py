@@ -1,39 +1,49 @@
 """Iterated tightening of a 2D bound matrix to (an approximation of) its
 canonical form.
 
-The closure applies the two composition laws
+The cell M[i,j,p,q] bounds a linear form with normal vector
+e_i - e_j - e_p + e_q, and the cells of one normal vector (a class)
+bound the same form, so the closure keeps one bound per class.  Its two
+composition laws
 
     M[i,j,p,q] <= M[i,j,k,l] + M[k,l,p,q]
     M[i,j,p,q] <= M[i,k,l,q] + M[k,j,p,l]
 
-in rounds, each followed by coherence normalization (class equality and
-doubled-cell coupling).  The first round of a close from scratch is a
-full sweep: every cell (i,j,p,q) against every intermediate pair (k,l),
-2(n+1)^6 candidates.  Every later round is semi-naive (delta-driven): it
-recombines only the cells lowered in the previous round, each as either
-operand of either law, 4(n+1)^2 candidates per lowered cell, and falls
-back to a full sweep when more than half of the (n+1)^4 cells were
-lowered.  A combination none of whose operands moved was already
-evaluated, so a round that lowers nothing proves stationarity just as a
-full sweep would.  A caller that lowered a few cells of a stationary
-matrix (a witness pin) passes them in, and even the first round is then
-delta-driven.
+each add two cells whose normal vectors u and w sum to the target's v.
+The pairs of classes they combine, in either order, are exactly the
+pairs (u, w) whose sum u + w = v is itself a class (the tests check this
+against both laws), so
+on classes they are one law, bound(v) <= bound(u) + bound(w), read from a
+per-n table that lists, for each class u, every such (w, v).  The
+doubled differences couple with the plain ones in both directions:
+bound(e_i - e_j) <= bound(2e_i - 2e_j) / 2, and the reverse doubling.
 
-Rounds repeat until nothing changes, capped at ceil((n+1)^4 / 2).  A
-zero-normal-vector cell dropping below zero is a derived contradiction
-"0 <= negative": the verdict turns infeasible and the run stops at the
-end of that round.
+On entry each class takes the minimum of its cells; on exit every cell
+gets its class's bound.  The matrix's coupling runs once on entry, then
+in rounds.  A round recombines, through the table, the classes lowered
+in the round before (each as either operand: the table is symmetric),
+then applies the coupling to every pair i != j.  A combination none of
+whose operands moved was already evaluated, so a round that lowers
+nothing proves stationarity.  The first round of a close from scratch is
+that round seeded with every class.  A caller that lowered a few cells
+of a stationary matrix (a witness pin) passes them in, and the first
+round is seeded with their classes, those whose cells disagree on entry
+and those the entry coupling lowered.
 
-Arithmetic is exact and runs on plain ints.  On entry the finite cells
-are scaled to one common denominator D, the lcm of their denominators,
-and each is stored as the int v * D (+inf stays +inf); on exit every
-finite cell turns back into Fraction(v, D), so callers only ever see
-Fractions.  Sums and comparisons of scaled cells are those of the
-rationals they stand for, so every round takes the same path as it would
-on Fractions.  Two steps leave the integers, and each rescales the whole
-matrix first: halving an odd doubled cell doubles D, and an accepted
-acceleration jump whose values have denominator f (over D) multiplies D
-by f.  The jump's own linear solve stays on Fractions.
+Rounds repeat until nothing changes, capped at ceil((n+1)^4 / 2).  The
+zero normal vector's bound dropping below zero is a derived
+contradiction "0 <= negative": the verdict turns infeasible and the run
+stops at the end of that round.
+
+Arithmetic is exact and runs on plain ints.  On entry the finite class
+bounds are scaled to one common denominator D, the lcm of their
+denominators, and each is stored as the int v * D (+inf stays +inf); on
+exit every finite cell turns back into Fraction(v, D), so callers only
+ever see Fractions.  Sums and comparisons of scaled bounds are those of
+the rationals they stand for.  Two steps leave the integers, and each
+rescales every bound first: halving an odd doubled bound doubles D, and
+an accepted acceleration jump whose values have denominator f (over D)
+multiplies D by f.  The jump's own linear solve stays on Fractions.
 
 Every update derives a valid consequence of the input constraints, so the
 result never under-approximates the true tightest bounds.  On octagon
@@ -49,10 +59,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
-from .core import Constraint4
-from .matrix2d import Matrix2D
+from .core import INF, Constraint4
+from .lindep import _kernel_basis
+from .matrix2d import Matrix2D, _class_table
 
 
 class Subclass(Enum):
@@ -126,239 +139,217 @@ def exactness_of(sub: Subclass) -> Exactness:
     return Exactness.UPPER_APPROX
 
 
-def _sweep(cells: list[list], n: int, trace: dict | None = None) -> bool:
-    """One full pass of both composition laws, in place.
+@dataclass(frozen=True)
+class _Table:
+    """Per-n class structure the closure runs on; classes are numbered
+    as in ``matrix2d._class_table``."""
 
-    Row-major over cells, intermediates in index order; updated values
-    are used immediately (the fixpoint is order-independent, the order
-    only makes sweep counts reproducible).  With ``trace`` given, each
-    changed cell maps to its winning term ("sum", cell_a, cell_b).
-    """
-    np1 = n + 1
-    size = np1 * np1
-    div = [s // np1 for s in range(size)]
-    mod = [s % np1 for s in range(size)]
-    base = [k * np1 for k in range(np1)]
-    changed = False
-    for r in range(size):
-        p, q = div[r], mod[r]
-        row_r = cells[r]
-        rows_lq = [cells[base[l] + q] for l in range(np1)]
-        rows_pl = [cells[base[p] + l] for l in range(np1)]
-        for c in range(size):
-            i, j = div[c], mod[c]
-            ibase = base[i]
-            original = row_r[c]
-            best = original
-            term = None
-            for s in range(size):
-                a = cells[s][c]
-                if type(a) is not float:
-                    b = row_r[s]
-                    if type(b) is not float:
-                        cand = a + b
-                        if cand < best:
-                            best = cand
-                            term = ("sum", (s, c), (r, s))
-                k, l = div[s], mod[s]
-                a = rows_lq[l][ibase + k]
-                if type(a) is not float:
-                    b = rows_pl[l][base[k] + j]
-                    if type(b) is not float:
-                        cand = a + b
-                        if cand < best:
-                            best = cand
-                            term = (
-                                "sum",
-                                (base[l] + q, ibase + k),
-                                (base[p] + l, base[k] + j),
-                            )
-            if best < original:
-                row_r[c] = best
-                changed = True
-                if trace is not None:
-                    trace[(r, c)] = term
-    return changed
+    #: uses[u]: every (w, v) with class u + class w == class v
+    uses: tuple[tuple[tuple[int, int], ...], ...]
+    #: the cells of each class, as row * (n+1)^2 + col
+    members: tuple[tuple[int, ...], ...]
+    #: the class of each cell, row by row
+    row_classes: tuple[tuple[int, ...], ...]
+    #: (class of e_i - e_j, class of 2e_i - 2e_j) for i != j
+    couplings: tuple[tuple[int, int], ...]
+    zero: int
 
 
-def _delta_round(
-    cells: list[list], n: int, lowered: Iterable[tuple[int, int]], trace: dict
-) -> bool:
-    """One semi-naive pass of both composition laws, in place.
+@lru_cache(maxsize=None)
+def _table(n: int) -> _Table:
+    class_table = _class_table(n)
+    classes = class_table.classes
+    size = (n + 1) ** 2
+    # Balanced base-9 code: the entries of u + w lie in [-4, 4], so the
+    # code of a sum is the sum of the codes.
+    codes = [
+        sum(x * 9**d for d, x in enumerate(vec)) for vec, _ in classes
+    ]
+    index = {code: k for k, code in enumerate(codes)}
+    # one int object per class, shared by every entry that names it
+    ids = list(range(len(codes)))
+    uses = tuple(
+        tuple(
+            (w, v)
+            for w, cw in zip(ids, codes)
+            if (v := index.get(cu + cw)) is not None
+        )
+        for cu in codes
+    )
+    members = tuple(tuple(r * size + c for r, c in cells) for _, cells in classes)
+    cell_class = [0] * (size * size)
+    for k, cells in enumerate(members):
+        for f in cells:
+            cell_class[f] = k
+    couplings = tuple(
+        (k, cell_class[r * size + c]) for k, (r, c) in class_table.couplings
+    )
+    return _Table(
+        uses=uses,
+        members=members,
+        row_classes=tuple(
+            tuple(cell_class[r * size : (r + 1) * size]) for r in range(size)
+        ),
+        couplings=couplings,
+        zero=index[0],
+    )
 
-    Recombines each cell of ``lowered`` as either operand of either law
-    with the current value of the other operand; no other combination
-    is evaluated.  Cells are taken in row-major order and updated values
-    are used immediately, as in ``_sweep``.  Each changed cell maps in
-    ``trace`` to the term of its last (lowest) update.
-    """
-    np1 = n + 1
-    size = np1 * np1
-    base = [k * np1 for k in range(np1)]
-    changed = False
-    for r0, c0 in sorted(lowered):
-        v = cells[r0][c0]
-        # law 1, v = M[i,j,k,l]: M[i,j,p,q] <= v + M[k,l,p,q], every (p,q)
-        for r in range(size):
-            b = cells[r][r0]
-            if type(b) is not float:
-                cand = v + b
-                row_t = cells[r]
-                if cand < row_t[c0]:
-                    row_t[c0] = cand
-                    changed = True
-                    trace[(r, c0)] = ("sum", (r0, c0), (r, r0))
-        # law 1, v = M[k,l,p,q]: M[i,j,p,q] <= M[i,j,k,l] + v, every (i,j)
-        row_a = cells[c0]
-        row_t = cells[r0]
-        for c in range(size):
-            a = row_a[c]
-            if type(a) is not float:
-                cand = a + v
-                if cand < row_t[c]:
-                    row_t[c] = cand
-                    changed = True
-                    trace[(r0, c)] = ("sum", (c0, c), (r0, c0))
-        # law 2, v = M[i,k,l,q]: M[i,j,p,q] <= v + M[k,j,p,l], every p, j
-        l, q = divmod(r0, np1)
-        i, k = divmod(c0, np1)
-        ibase, kbase = base[i], base[k]
-        for p in range(np1):
-            rb = base[p] + l
-            row_b = cells[rb]
-            row_t = cells[base[p] + q]
-            for j in range(np1):
-                b = row_b[kbase + j]
-                if type(b) is not float:
-                    cand = v + b
-                    if cand < row_t[ibase + j]:
-                        row_t[ibase + j] = cand
-                        changed = True
-                        trace[(base[p] + q, ibase + j)] = (
-                            "sum", (r0, c0), (rb, kbase + j)
-                        )
-        # law 2, v = M[k,j,p,l]: M[i,j,p,q] <= M[i,k,l,q] + v, every q, i
-        p, l = divmod(r0, np1)
-        k, j = divmod(c0, np1)
-        pbase, lbase = base[p], base[l]
-        for q in range(np1):
-            row_a = cells[lbase + q]
-            row_t = cells[pbase + q]
-            for i in range(np1):
-                a = row_a[base[i] + k]
-                if type(a) is not float:
-                    cand = a + v
-                    if cand < row_t[base[i] + j]:
-                        row_t[base[i] + j] = cand
-                        changed = True
-                        trace[(pbase + q, base[i] + j)] = (
-                            "sum", (lbase + q, base[i] + k), (r0, c0)
-                        )
-    return changed
+
+def _class_bounds(
+    cells: list[list], table: _Table
+) -> tuple[list, int, list[int]]:
+    """The minimum of each class's cells as an int over the lcm D of
+    their denominators (+inf stays INF), D, and the classes whose cells
+    disagree."""
+    flat = list(chain.from_iterable(cells))
+    values = []
+    uneven = []
+    for k, members in enumerate(table.members):
+        cell_values = list(map(flat.__getitem__, members))
+        low = cell_values[0]
+        if cell_values.count(low) != len(cell_values):
+            low = min(cell_values)
+            uneven.append(k)
+        values.append(low)
+    denom = math.lcm(*{v.denominator for v in values if type(v) is not float})
+    bounds = [
+        INF if type(v) is float else v.numerator * (denom // v.denominator)
+        for v in values
+    ]
+    return bounds, denom, uneven
+
+
+def _rescale(bounds: list, factor: int) -> None:
+    bounds[:] = [b if b is INF else b * factor for b in bounds]
+
+
+def _combine(
+    bounds: list, seeds: Iterable[int], table: _Table, trace: dict
+) -> None:
+    """Recombine each class of ``seeds`` with every partner of the
+    table, in place; updated bounds are used immediately.  Each lowered
+    class maps in ``trace`` to the term of its last update."""
+    uses = table.uses
+    for u in sorted(seeds):
+        bu = bounds[u]
+        if bu is INF:
+            continue
+        for w, v in uses[u]:
+            bw = bounds[w]
+            if bw is not INF:
+                cand = bu + bw
+                if cand < bounds[v]:
+                    bounds[v] = cand
+                    trace[v] = ("sum", u, w)
+
+
+def _couple(bounds: list, table: _Table, trace: dict) -> int:
+    """Halve 2e_i - 2e_j into e_i - e_j, or double the other way, in
+    place; recorded in ``trace`` like ``_combine``.  An odd bound is
+    halved after doubling every bound: returns the factor by which the
+    common denominator grew."""
+    factor = 1
+    for c1, c2 in table.couplings:
+        b2 = bounds[c2]
+        if b2 is not INF and b2 < 2 * bounds[c1]:
+            if b2 & 1:
+                _rescale(bounds, 2)
+                factor *= 2
+                b2 = bounds[c2]
+            bounds[c1] = b2 // 2
+            trace[c1] = ("half", c2)
+        else:
+            b1 = bounds[c1]
+            if b1 is not INF and 2 * b1 < b2:
+                bounds[c2] = 2 * b1
+                trace[c2] = ("double", c1)
+    return factor
 
 
 # The plain iteration need not reach its own fixpoint in finitely many
-# sweeps: compositions and halvings keep every derived value dyadic in
+# rounds: compositions and halvings keep every derived value dyadic in
 # the input denominators, while the limit can require others (a gain-1/2
 # feedback loop converges to values like -1/3 geometrically).  When the
-# set of still-changing cells settles into a pattern, the sweep's winning
-# terms form an affine policy x = Ax + b; its exact fixpoint is a valid
-# jump target (each policy iterate dominates the true iterate, so the
-# policy fixpoint dominates the true limit), and a stationary matrix
+# set of still-changing classes settles into a pattern, the rounds'
+# winning terms form an affine policy x = Ax + b; its exact fixpoint is a
+# valid jump target (each policy iterate dominates the true iterate, so
+# the policy fixpoint dominates the true limit), and a stationary result
 # reached from above through such jumps *is* the true limit, because the
 # greatest fixpoint below the starting matrix bounds every sound
 # stationary point from above.  The jump is attempted sparingly and
-# verified by the next sweep; the cap still backstops everything.
+# verified by the next round; the cap still backstops everything.
 
 _ACCEL_START = 8
 _ACCEL_EVERY = 4
 _ACCEL_MAX_VARS = 1200
 
 
-def _term_parts(term) -> list[tuple[tuple[int, int], Fraction]]:
-    kind = term[0]
+def _term_parts(term) -> list[tuple[int, Fraction]]:
+    kind, arg = term[0], term[1]
     if kind == "sum":
-        return [(term[1], Fraction(1)), (term[2], Fraction(1))]
-    if kind == "copy":
-        return [(term[1], Fraction(1))]
+        if term[2] == arg:  # u + u doubles u: not a contraction
+            return [(arg, Fraction(2))]
+        return [(arg, Fraction(1)), (term[2], Fraction(1))]
     if kind == "half":
-        return [(term[1], Fraction(1, 2))]
-    return [(term[1], Fraction(2))]  # double
+        return [(arg, Fraction(1, 2))]
+    return [(arg, Fraction(2))]  # double
 
 
-def _gauss_solve(a: list[list[Fraction]], b: list[Fraction]):
-    """Unique exact solution of a x = b, or None when singular."""
-    m = len(a)
-    aug = [row[:] + [b[k]] for k, row in enumerate(a)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[k][m] for k in range(m)]
-
-
-def _policy_fixpoint(eqs: dict, cells: list[list]):
+def _policy_fixpoint(eqs: dict, bounds: list):
     """Exact fixpoint of a recorded affine policy, or None.
 
-    Variables determined acyclically from frozen cells are peeled off by
-    substitution; the remainder is solved densely.  Rejected unless
+    Variables determined acyclically from frozen classes are peeled off
+    by substitution; the remainder is solved densely.  Rejected unless
     provably contracting and dominated by the current values: within the
     remainder no doubling edge and no cycle among gain-1 edges, a unique
-    linear solution, and every component <= its current cell (jumps must
-    remain valid upper bounds).
+    linear solution, and every component <= its current bound (jumps
+    must remain valid upper bounds).
     """
     parts: dict = {}
     consts: dict = {}
-    for cell, term in eqs.items():
+    for cls, term in eqs.items():
         ps = []
         const = Fraction(0)
         for arg, gain in _term_parts(term):
             if arg in eqs:
                 ps.append((arg, gain))
             else:
-                frozen = cells[arg[0]][arg[1]]
-                if isinstance(frozen, float):
+                frozen = bounds[arg]
+                if frozen is INF:
                     return None
                 const += gain * frozen
-        parts[cell] = ps
-        consts[cell] = const
+        parts[cls] = ps
+        consts[cls] = const
 
-    # substitution pass: resolve cells with no unresolved arguments
+    # substitution pass: resolve classes with no unresolved arguments
     resolved: dict = {}
-    deps = {cell: {arg for arg, _ in ps} for cell, ps in parts.items()}
+    deps = {cls: {arg for arg, _ in ps} for cls, ps in parts.items()}
     users: dict = {}
-    for cell, ds in deps.items():
+    for cls, ds in deps.items():
         for d in ds:
-            users.setdefault(d, set()).add(cell)
-    ready = [cell for cell, ds in deps.items() if not ds]
+            users.setdefault(d, set()).add(cls)
+    ready = [cls for cls, ds in deps.items() if not ds]
     while ready:
-        cell = ready.pop()
-        resolved[cell] = consts[cell] + sum(
-            (g * resolved[a] for a, g in parts[cell]), Fraction(0)
+        cls = ready.pop()
+        resolved[cls] = consts[cls] + sum(
+            (g * resolved[a] for a, g in parts[cls]), Fraction(0)
         )
-        for user in users.get(cell, ()):
+        for user in users.get(cls, ()):
             ds = deps[user]
-            ds.discard(cell)
+            ds.discard(cls)
             if not ds and user not in resolved:
                 ready.append(user)
 
-    core = [cell for cell in eqs if cell not in resolved]
+    core = [cls for cls in eqs if cls not in resolved]
     if core:
         if len(core) > _ACCEL_MAX_VARS:
             return None
-        index = {cell: k for k, cell in enumerate(core)}
+        index = {cls: k for k, cls in enumerate(core)}
         m = len(core)
         unit_adj: list[list[int]] = [[] for _ in range(m)]
-        for cell in core:
-            k = index[cell]
-            for arg, gain in parts[cell]:
+        for cls in core:
+            k = index[cls]
+            for arg, gain in parts[cls]:
                 a = index.get(arg)
                 if a is None:
                     continue
@@ -388,59 +379,29 @@ def _policy_fixpoint(eqs: dict, cells: list[list]):
                     stack.pop()
         a_mat = [[Fraction(0)] * m for _ in range(m)]
         b_vec = [Fraction(0)] * m
-        for cell in core:
-            k = index[cell]
+        for cls in core:
+            k = index[cls]
             a_mat[k][k] += Fraction(1)
-            b_vec[k] = consts[cell]
-            for arg, gain in parts[cell]:
+            b_vec[k] = consts[cls]
+            for arg, gain in parts[cls]:
                 a = index.get(arg)
                 if a is None:
                     b_vec[k] += gain * resolved[arg]
                 else:
                     a_mat[k][a] -= gain
-        solution = _gauss_solve(a_mat, b_vec)
-        if solution is None:
+        # a_mat x = b_vec has a unique solution iff the kernel of
+        # [a_mat | -b_vec] is one line, off the last coordinate's zero
+        basis = _kernel_basis(list(zip(*a_mat)) + [[-v for v in b_vec]])
+        if len(basis) != 1 or basis[0][m] == 0:
             return None
-        for cell, k in index.items():
-            resolved[cell] = solution[k]
+        (kernel,) = basis
+        for cls, k in index.items():
+            resolved[cls] = kernel[k] / kernel[m]
 
-    for cell, value in resolved.items():
-        if value > cells[cell[0]][cell[1]]:
+    for cls, value in resolved.items():
+        if value > bounds[cls]:
             return None
     return resolved
-
-
-def _scaled(cells: list[list]) -> tuple[list[list], int]:
-    """Integer copy of ``cells`` over the lcm D of their denominators:
-    each finite cell v becomes the int v * D, +inf stays."""
-    denom = math.lcm(
-        *{v.denominator for row in cells for v in row if type(v) is not float}
-    )
-    return [
-        [
-            v if type(v) is float else v.numerator * (denom // v.denominator)
-            for v in row
-        ]
-        for row in cells
-    ], denom
-
-
-def _unscaled(cells: list[list], denom: int) -> list[list]:
-    """Fraction cells v / D of an integer matrix over denominator D."""
-    # the cells of one normal-vector class hold one value: build it once
-    memo: dict = {}
-    out = []
-    for row in cells:
-        new = []
-        for v in row:
-            if type(v) is not float:
-                f = memo.get(v)
-                if f is None:
-                    f = memo[v] = Fraction(v, denom)
-                v = f
-            new.append(v)
-        out.append(new)
-    return out
 
 
 def close(
@@ -457,12 +418,12 @@ def close(
     the original syntactic shape).  ``max_sweeps`` overrides the default
     round cap.
 
-    Rounds: the first is a full sweep, every later one recombines only
-    the cells lowered by the round before (see the module docstring).
-    ``lowered`` seeds the first round instead: the (row, col) cells
-    lowered since ``matrix`` was last stationary, for instance by a
-    witness pin.  Cells that the initial normalization lowers join it.
-    ``sweeps_used`` counts rounds of either kind.
+    Rounds run over classes (see the module docstring); the first is
+    seeded with every class.  ``lowered`` seeds it instead with the
+    classes of the (row, col) cells lowered since ``matrix`` was last
+    stationary, for instance by a witness pin; classes whose cells
+    disagree, and those the initial coupling lowers, join it.
+    ``sweeps_used`` counts rounds.
 
     An input whose zero-vector class is already negative returns
     immediately (sweeps_used = 0), which keeps close idempotent on its
@@ -471,79 +432,72 @@ def close(
     The rounds run on ints over one common denominator (see the module
     docstring); the result's finite cells are Fractions again.
     """
-    cells, denom = _scaled(matrix.cells)
-    m = Matrix2D(matrix.n, cells)
-
-    def rescale(factor: int) -> None:
-        nonlocal denom
-        denom *= factor
-        for row in cells:
-            row[:] = [v if type(v) is float else v * factor for v in row]
-
+    table = _table(matrix.n)
+    bounds, denom, uneven = _class_bounds(matrix.cells, table)
     trace: dict = {}
-    m._normalize(trace, rescale)
+    denom *= _couple(bounds, table, trace)
     # a zero-vector class already negative: no round runs
-    feasible = not m.has_negative_zero_cell()
-    # cells lowered since the last stationary point; None: unknown
-    delta = None if lowered is None else set(lowered) | trace.keys()
-    full_above = (m.n + 1) ** 4 // 2
-    cap = sweep_cap(m.n) if max_sweeps is None else max_sweeps
+    feasible = bounds[table.zero] >= 0
+    if lowered is None:
+        delta = range(len(bounds))
+    else:
+        delta = {table.row_classes[r][c] for r, c in lowered}
+        delta.update(uneven, trace)
+    cap = sweep_cap(matrix.n) if max_sweeps is None else max_sweeps
     sweeps = 0
     stationary = False
     recent: dict = {}
     while feasible and sweeps < cap:
         sweeps += 1
         trace = {}
-        if delta is None or len(delta) > full_above:
-            changed = _sweep(cells, m.n, trace)
-        else:
-            changed = _delta_round(cells, m.n, delta, trace)
-        changed = m._normalize(trace, rescale) or changed
-        if m.has_negative_zero_cell():
+        _combine(bounds, delta, table, trace)
+        denom *= _couple(bounds, table, trace)
+        if bounds[table.zero] < 0:
             feasible = False
             break
-        if not changed:
+        if not trace:
             stationary = True
             break
         delta = set(trace)
-        for cell, term in trace.items():
-            recent[cell] = (sweeps, term)
+        for cls, term in trace.items():
+            recent[cls] = (sweeps, term)
         if sweeps >= _ACCEL_START and sweeps % _ACCEL_EVERY == 0:
             eqs = {
-                cell: term
-                for cell, (step, term) in recent.items()
+                cls: term
+                for cls, (step, term) in recent.items()
                 if step > sweeps - 2
             }
-            if eqs:
-                jump = _policy_fixpoint(eqs, cells)
-                if jump:
-                    lower = {
-                        (r, c): value
-                        for (r, c), value in jump.items()
-                        if value < cells[r][c]
-                    }
-                    factor = math.lcm(*(v.denominator for v in lower.values()))
-                    if factor > 1:
-                        rescale(factor)
-                    for (r, c), value in lower.items():
-                        cells[r][c] = value.numerator * (
-                            factor // value.denominator
-                        )
-                        delta.add((r, c))
-                    jumped: dict = {}
-                    m._normalize(jumped, rescale)
-                    delta.update(jumped)
-                    if m.has_negative_zero_cell():
-                        feasible = False
-                        break
+            jump = _policy_fixpoint(eqs, bounds)
+            if jump:
+                lower = {
+                    cls: value
+                    for cls, value in jump.items()
+                    if value < bounds[cls]
+                }
+                factor = math.lcm(*(v.denominator for v in lower.values()))
+                if factor > 1:
+                    _rescale(bounds, factor)
+                    denom *= factor
+                for cls, value in lower.items():
+                    bounds[cls] = value.numerator * (factor // value.denominator)
+                delta.update(lower)
+                denom *= _couple(bounds, table, trace)
+                delta.update(trace)
+                if bounds[table.zero] < 0:
+                    feasible = False
+                    break
     exact = (
         feasible
         and stationary
         and subclass is not None
         and exactness_of(subclass) is Exactness.EXACT
     )
+    values = [b if b is INF else Fraction(b, denom) for b in bounds]
     return ClosureResult(
-        matrix=Matrix2D(m.n, _unscaled(cells, denom)),
+        matrix=Matrix2D(
+            matrix.n,
+            [list(map(values.__getitem__, row)) for row in table.row_classes],
+        ),
         feasible=feasible,
         sweeps_used=sweeps,
         exactness=Exactness.EXACT if exact else Exactness.UPPER_APPROX,

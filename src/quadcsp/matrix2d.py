@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     INF,
@@ -31,9 +31,10 @@ from .core import (
     parse_rational,
 )
 
-#: Hard cap on n.  A matrix has (n+1)^4 cells; a full closure round
-#: evaluates 2(n+1)^6 candidates, a delta round 4(n+1)^2 per cell the
-#: round before lowered, and up to ceil((n+1)^4 / 2) rounds may run.
+#: Hard cap on n.  A matrix has (n+1)^4 cells; the closure's table of
+#: class sums u + w = v grows like (n+1)^6 entries, a round reads the
+#: entries of every class the round before lowered, and up to
+#: ceil((n+1)^4 / 2) rounds may run.
 MAX_VARIABLES = 32
 
 
@@ -150,23 +151,8 @@ class Matrix2D:
         self._normalize()
         return self
 
-    def _normalize(
-        self,
-        trace: dict | None = None,
-        rescale: Callable[[int], None] | None = None,
-    ) -> bool:
-        """In-place normalization; True when any cell changed.
-
-        With ``trace`` given, records for every changed cell the term
-        its new value came from: ("copy", cell), ("half", cell) or
-        ("double", cell).  The closure's fixpoint acceleration consumes
-        these.
-
-        Cells are Fractions, or (inside the closure) ints that count
-        units of one common denominator.  An odd int cannot be halved in
-        place, so before halving one ``rescale(2)`` is called, which
-        must double every finite cell (and the denominator with them).
-        """
+    def _normalize(self) -> bool:
+        """In-place normalization; True when any cell changed."""
         cells = self.cells
         changed = False
         table = _class_table(self.n)
@@ -174,38 +160,25 @@ class Matrix2D:
             if len(members) == 1:
                 continue
             m = min(cells[r][c] for r, c in members)
-            source = next(rc for rc in members if cells[rc[0]][rc[1]] == m)
             for r, c in members:
                 if cells[r][c] != m:
                     cells[r][c] = m
                     changed = True
-                    if trace is not None:
-                        trace[(r, c)] = ("copy", source)
         for class2, (rjj, cjj) in table.couplings:
             _, members = table.classes[class2]
             r2, c2 = members[0]
             b2 = cells[r2][c2]
             bjj = cells[rjj][cjj]
             if not isinstance(bjj, float) and bjj < 2 * b2:
-                if type(bjj) is int:
-                    if bjj & 1:
-                        rescale(2)
-                        bjj = cells[rjj][cjj]
-                    b2 = bjj // 2
-                else:
-                    b2 = bjj / 2
+                b2 = bjj / 2
                 for r, c in members:
                     cells[r][c] = b2
-                    if trace is not None:
-                        trace[(r, c)] = ("half", (rjj, cjj))
                 changed = True
             elif not isinstance(b2, float):
                 dbl = 2 * b2
                 if dbl < bjj:
                     cells[rjj][cjj] = dbl
                     changed = True
-                    if trace is not None:
-                        trace[(rjj, cjj)] = ("double", (r2, c2))
         return changed
 
     # -- feasibility signal ---------------------------------------------------
@@ -263,11 +236,6 @@ def from_dbm(dbm: Sequence[Sequence[Bound]]) -> Matrix2D:
             b = dbm[k][l]
             if is_finite(b):
                 m.set_min(l, k, 0, 0, b)
-    return m.normalize()
-
-
-def normalize(m: Matrix2D) -> Matrix2D:
-    """Functional spelling of Matrix2D.normalize (mutates and returns m)."""
     return m.normalize()
 
 

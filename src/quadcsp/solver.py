@@ -13,8 +13,8 @@ sound on every input.  The oracle runs on the input constraints plus the
 pins so far, the same polyhedron as the pinned matrix in far fewer rows.
 
 A pin lowers only the two cells of xi's bounds on a matrix that was
-stationary, so its re-close is seeded with those cells (see
-closure.close) instead of starting with a full sweep.
+stationary, so its re-close is seeded with their two classes (see
+closure.close) instead of every class.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _pin(
     stationary: bool,
 ) -> ClosureResult:
     """Close ``m`` with xi pinned to ``value``.  On a stationary ``m``
-    only the two pinned cells (and what normalization lowers with them)
-    seed the closure; otherwise it starts with a full sweep."""
+    the classes of the two pinned cells (and what the coupling lowers
+    with them) seed the closure; otherwise every class does."""
     trial = m.copy()
     trial.set_min(i, 0, 0, 0, value)
     trial.set_min(0, i, 0, 0, -value)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from quadcsp.closure import (
     Exactness,
     Subclass,
-    _sweep,
+    _table,
     classify,
     close,
     exactness_of,
@@ -328,6 +328,61 @@ class TestClosureLaws:
                     assert v <= m.get(i, k, l, q) + m.get(k, j, p, l)
 
 
+def _sweep(cells: list[list], n: int, trace: dict | None = None) -> bool:
+    """One full pass of both composition laws, in place.
+
+    Row-major over cells, intermediates in index order; updated values
+    are used immediately (the fixpoint is order-independent, the order
+    only makes sweep counts reproducible).  With ``trace`` given, each
+    changed cell maps to its winning term ("sum", cell_a, cell_b).
+    """
+    np1 = n + 1
+    size = np1 * np1
+    div = [s // np1 for s in range(size)]
+    mod = [s % np1 for s in range(size)]
+    base = [k * np1 for k in range(np1)]
+    changed = False
+    for r in range(size):
+        p, q = div[r], mod[r]
+        row_r = cells[r]
+        rows_lq = [cells[base[l] + q] for l in range(np1)]
+        rows_pl = [cells[base[p] + l] for l in range(np1)]
+        for c in range(size):
+            i, j = div[c], mod[c]
+            ibase = base[i]
+            original = row_r[c]
+            best = original
+            term = None
+            for s in range(size):
+                a = cells[s][c]
+                if type(a) is not float:
+                    b = row_r[s]
+                    if type(b) is not float:
+                        cand = a + b
+                        if cand < best:
+                            best = cand
+                            term = ("sum", (s, c), (r, s))
+                k, l = div[s], mod[s]
+                a = rows_lq[l][ibase + k]
+                if type(a) is not float:
+                    b = rows_pl[l][base[k] + j]
+                    if type(b) is not float:
+                        cand = a + b
+                        if cand < best:
+                            best = cand
+                            term = (
+                                "sum",
+                                (base[l] + q, ibase + k),
+                                (base[p] + l, base[k] + j),
+                            )
+            if best < original:
+                row_r[c] = best
+                changed = True
+                if trace is not None:
+                    trace[(r, c)] = term
+    return changed
+
+
 def reference_close(matrix, cap):
     """Plain iteration of full sweeps and normalization, no acceleration:
     (matrix, feasible, stationary) after at most ``cap`` sweeps."""
@@ -422,3 +477,49 @@ class TestSemiNaiveRounds:
         again = close(result.matrix, lowered=[])
         assert again.sweeps_used == 1 and again.stationary
         assert again.matrix == result.matrix
+
+
+class TestClassSumTable:
+    def test_table_matches_both_cell_laws(self):
+        """The closure's table lists, for each class u, every (w, v) with
+        u + w = v; the two cell laws must combine exactly those pairs.
+        Pairs are compared unordered: the sum commutes, while a law may
+        take two classes in one operand order only.
+
+        Checking n = 1..5 covers every n: a triple u + w = v touches at
+        most 6 indices (u and w have at most 4 nonzero entries each, and
+        every index of both that does not cancel is one of v's at most
+        4), a law instance names 6 indices i, j, k, l, p, q, and both
+        sets are invariant under relabelling the indices, so any triple
+        at a larger n maps onto one at n = 5.
+        """
+        for n in range(1, 6):
+            np1 = n + 1
+            size = np1 * np1
+            cls = [[0] * size for _ in range(size)]
+            for k, (_, members) in enumerate(_class_table(n).classes):
+                for r, c in members:
+                    cls[r][c] = k
+            # the index pattern of _sweep
+            base = [k * np1 for k in range(np1)]
+            laws = set()
+            for r in range(size):
+                p, q = divmod(r, np1)
+                for c in range(size):
+                    i, j = divmod(c, np1)
+                    v = cls[r][c]
+                    for s in range(size):
+                        k, l = divmod(s, np1)
+                        law1 = (cls[s][c], cls[r][s])
+                        law2 = (
+                            cls[base[l] + q][base[i] + k],
+                            cls[base[p] + l][base[k] + j],
+                        )
+                        laws.add((*sorted(law1), v))
+                        laws.add((*sorted(law2), v))
+            table = {
+                (*sorted((u, w)), v)
+                for u, pairs in enumerate(_table(n).uses)
+                for w, v in pairs
+            }
+            assert table == laws, n
