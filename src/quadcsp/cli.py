@@ -18,6 +18,7 @@ Exit codes: 0 ok/feasible, 1 infeasible, 2 parse or configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .core import (
 )
 from .fmoracle import LinearSystem, ResourceLimitError, fm_feasible
 from .lindep import (
+    DEFAULT_MAX_CONSTRAINTS,
     DEFAULT_MAX_SIZE,
     SizeLimitError,
     cycle_weight,
@@ -47,8 +49,6 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_MISMATCH = 3
 
-_EXPLAIN_LIST_CAP = 16
-
 
 @dataclass
 class RunConfig:
@@ -61,7 +61,10 @@ class RunConfig:
     max_cycle_size: int = DEFAULT_MAX_SIZE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every
+    ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="quadcsp",
         description=(
@@ -181,9 +184,9 @@ def run(
             f"x{n} exceeds the supported maximum of {MAX_VARIABLES} variables"
         )
 
-    if cfg.command == "explain" and len(constraints) > _EXPLAIN_LIST_CAP:
+    if cfg.command == "explain" and len(constraints) > DEFAULT_MAX_CONSTRAINTS:
         raise SizeLimitError(
-            f"explain handles at most {_EXPLAIN_LIST_CAP} constraints"
+            f"explain handles at most {DEFAULT_MAX_CONSTRAINTS} constraints"
         )
 
     if cfg.command == "solve":

@@ -8,8 +8,14 @@ scale, which this module normalizes to coprime positive integers.
 Constraint sets map to these families through their normal vectors: a
 subset generating a vanishing positive combination is a hypercycle, and a
 hypercycle through the complement of a target constraint is a hyperpath
-of that target.  Everything here enumerates subsets exhaustively and is
-meant as a desk-scale ground-truth oracle, not a production path.
+of that target.  Everything here enumerates subsets exhaustively, within
+desk-scale caps; the tests use it as a ground-truth oracle.
+
+``explain`` consumes the hypercycle enumeration lazily and stops at the
+first cycle of negative weight.  Before any exact dependence test, a
+subset must pass a sign filter: a positive combination can vanish only
+if every coordinate some member touches has both a positive and a
+negative entry among the members.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Bound, Constraint4, INF, complement, is_finite, normal_vector
+from .core import (
+    Bound,
+    Constraint4,
+    INF,
+    NormalVector,
+    complement,
+    is_finite,
+    normal_vector,
+)
 from .fmoracle import rows_solution
 
 #: Default subset-size / constraint-list caps for the enumerators.
@@ -126,7 +140,7 @@ def _validate_family(vectors: Sequence[Sequence], max_family: int) -> list[Vecto
     return vecs
 
 
-def _positive_point(vecs: Sequence[Vector]) -> tuple[Fraction, ...] | None:
+def _positive_point(vecs: Sequence[Sequence]) -> tuple[Fraction, ...] | None:
     """Some strictly positive vanishing combination, or None."""
     basis = _kernel_basis(vecs)
     if not basis:
@@ -212,20 +226,42 @@ def _constraints_n(constraints: Iterable[Constraint4]) -> int:
     return max((max(c.indices()) for c in constraints), default=1) or 1
 
 
+def _sign_masks(v: NormalVector) -> tuple[int, int]:
+    """Bitmasks of the coordinates where v is positive / negative."""
+    pos = neg = 0
+    for d, x in enumerate(v):
+        if x > 0:
+            pos |= 1 << d
+        elif x < 0:
+            neg |= 1 << d
+    return pos, neg
+
+
 def _simple_dependent_subsets(
-    vectors: Sequence[Vector], max_size: int
+    vectors: Sequence[NormalVector], max_size: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(indices, coprime coefficients) of every simple dependent subset.
 
-    Ascending subset size with minimal-dependent pruning: a dependent set
-    found at size k certifies every superset as non-simple, so each
-    surviving candidate needs exactly one dependence test, and a
-    dependent survivor is simple by construction.
+    Ascending subset size, then ``itertools.combinations`` order, with
+    minimal-dependent pruning: a dependent set found at size k certifies
+    every superset as non-simple, so each surviving candidate needs
+    exactly one dependence test, and a dependent survivor is simple by
+    construction.  Subsets whose members do not meet every touched
+    coordinate with both signs cannot vanish and skip that test; since
+    only dependent subsets enter the pruning list, the filter never
+    changes what is yielded.
     """
     usable = [k for k, v in enumerate(vectors) if any(v)]
+    masks = [_sign_masks(v) for v in vectors]
     minimal: list[frozenset[int]] = []
     for size in range(2, max_size + 1):
         for subset in itertools.combinations(usable, size):
+            pos = neg = 0
+            for k in subset:
+                pos |= masks[k][0]
+                neg |= masks[k][1]
+            if pos != neg:
+                continue
             sset = set(subset)
             if any(dep <= sset for dep in minimal):
                 continue
@@ -250,26 +286,26 @@ def enumerate_simple_hcycles(
     constraints: Sequence[Constraint4],
     max_size: int = DEFAULT_MAX_SIZE,
     max_constraints: int = DEFAULT_MAX_CONSTRAINTS,
-) -> list[WeightedFamily]:
-    """All subsets up to max_size generating a simple hypercycle.
+) -> Iterator[WeightedFamily]:
+    """Yield every subset up to max_size generating a simple hypercycle,
+    in ascending size and then input order.
 
-    Constraints with a zero normal vector never join a family; duplicate
-    normal vectors invalidate a subset (family vectors must be distinct).
+    The list cap is checked when the function is called, not on the
+    first ``next``.  Constraints with a zero normal vector never join a
+    family; duplicate normal vectors invalidate a subset (family vectors
+    must be distinct).
     """
     _check_list_cap(constraints, max_constraints)
-    n = _constraints_n(constraints)
-    vectors = [
-        tuple(Fraction(x) for x in normal_vector(c, n)) for c in constraints
-    ]
-    out = []
-    for subset, coeffs in _simple_dependent_subsets(vectors, max_size):
-        out.append(
-            WeightedFamily(
-                members=tuple(constraints[k] for k in subset),
-                coeffs=tuple(Fraction(v) for v in coeffs),
-            )
+    members = tuple(constraints)
+    n = _constraints_n(members)
+    vectors = [normal_vector(c, n) for c in members]
+    return (
+        WeightedFamily(
+            members=tuple(members[k] for k in subset),
+            coeffs=tuple(Fraction(v) for v in coeffs),
         )
-    return out
+        for subset, coeffs in _simple_dependent_subsets(vectors, max_size)
+    )
 
 
 def simple_hyperpaths(
@@ -288,9 +324,7 @@ def simple_hyperpaths(
     bar = complement(target)
     extended = list(constraints) + [bar]
     n = _constraints_n(extended)
-    vectors = [
-        tuple(Fraction(x) for x in normal_vector(c, n)) for c in extended
-    ]
+    vectors = [normal_vector(c, n) for c in extended]
     bar_index = len(constraints)
     out = []
     for subset, coeffs in _simple_dependent_subsets(vectors, max_size + 1):

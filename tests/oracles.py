@@ -1,12 +1,18 @@
 """Independent textbook oracles used to validate the package.
 
 These deliberately avoid all quadcsp internals so that agreement is
-meaningful: plain Floyd-Warshall / Bellman-Ford over Fraction weights.
+meaningful: plain Floyd-Warshall / Bellman-Ford over Fraction weights,
+and a subset-by-subset hypercycle walk built only on the public
+single-family tests ``positive_dependence`` and ``is_simple``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+from quadcsp.core import normal_vector
+from quadcsp.lindep import is_simple, positive_dependence
 
 INF = float("inf")
 
@@ -57,3 +63,24 @@ def bellman_ford(size, arcs, source):
         dist[u] != INF and dist[u] + w < dist[v] for u, v, w in arcs
     )
     return dist, negative
+
+
+def simple_hcycles_bruteforce(constraints, max_size):
+    """(members, coeffs) of every simple hypercycle of at most max_size
+    constraints, in ascending size and then itertools.combinations order.
+
+    A subset qualifies when its normal vectors are nonzero and distinct,
+    positively dependent, and simple; no pruning, no filter.
+    """
+    n = max((max(c.indices()) for c in constraints), default=0) or 1
+    vectors = [normal_vector(c, n) for c in constraints]
+    out = []
+    for size in range(2, max_size + 1):
+        for subset in itertools.combinations(range(len(constraints)), size):
+            vecs = [vectors[k] for k in subset]
+            if not all(any(v) for v in vecs) or len(set(vecs)) != size:
+                continue
+            coeffs = positive_dependence(vecs)
+            if coeffs is not None and is_simple(vecs):
+                out.append((tuple(constraints[k] for k in subset), coeffs))
+    return out

@@ -105,7 +105,7 @@ def test_criterion_2_hypercycle_arithmetic():
         vecs_b = [normal_vector(c, n) for c in cs_b]
         assert positive_dependence(vecs_b) == (1, 1, 2)
 
-        cycles = enumerate_simple_hcycles(cs_a)
+        cycles = list(enumerate_simple_hcycles(cs_a))
         assert len(cycles) == 1
         assert cycles[0].coeffs == (1, 1, 1)
         assert cycle_weight(cycles[0]) == 4

@@ -210,6 +210,20 @@ class TestMainEntry:
         f.write_text("\n".join(f"x1 <= {k}" for k in range(20)))
         assert main(["explain", str(f)]) == EXIT_USAGE
 
+    def test_shared_parser_keeps_no_flags(self, tmp_path, capsys):
+        # main reuses one parser per process; a flag given to one call
+        # must not leak into the next
+        f = tmp_path / "three.txt"
+        f.write_text("x1 - x2 <= -1\nx2 - x3 <= -1\nx3 - x1 <= -1\n")
+        assert main(["explain", str(f), "--max-cycle-size", "2"]) == (
+            EXIT_INFEASIBLE
+        )
+        assert "no simple-cycle certificate" in capsys.readouterr().out
+        assert main(["explain", str(f)]) == EXIT_INFEASIBLE
+        out = capsys.readouterr().out
+        assert "negative combination" in out
+        assert "total weight -3 < 0" in out
+
     def test_too_many_variables_is_usage_error(self, tmp_path, capsys):
         f = tmp_path / "wide.txt"
         f.write_text("x40 <= 3\n")

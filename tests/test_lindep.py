@@ -25,8 +25,15 @@ from quadcsp.lindep import (
     simple_hyperpaths,
     unique_coeffs,
 )
-from gen import box_constraints, random_general_constraint
-from oracles import bellman_ford
+from gen import (
+    box_constraints,
+    random_bound,
+    random_general_constraint,
+    random_lower_bound_constraint,
+    random_octagon_constraint,
+    random_upper_bound_constraint,
+)
+from oracles import bellman_ford, simple_hcycles_bruteforce
 
 # Two running hypercycle examples over x1..x4.
 CYCLE_A = """
@@ -130,24 +137,24 @@ class TestUniqueCoeffs:
 class TestEnumerateCycles:
     def test_single_cycle_family(self):
         cs, _, _ = family(CYCLE_A)
-        cycles = enumerate_simple_hcycles(cs)
+        cycles = list(enumerate_simple_hcycles(cs))
         assert len(cycles) == 1
         assert cycles[0].coeffs == (1, 1, 1)
         assert cycles[0].members == tuple(cs)
 
     def test_constraint_and_complement(self):
         c = make_constraint([1], [2, 3], Fraction(2))
-        cycles = enumerate_simple_hcycles([c, complement(c)])
+        cycles = list(enumerate_simple_hcycles([c, complement(c)]))
         assert len(cycles) == 1
         assert cycles[0].coeffs == (1, 1)
 
     def test_empty_input(self):
-        assert enumerate_simple_hcycles([]) == []
+        assert list(enumerate_simple_hcycles([])) == []
 
     def test_zero_vector_members_excluded(self):
         zero = make_constraint([], [], Fraction(-1))
         c = make_constraint([1], [2], Fraction(0))
-        assert enumerate_simple_hcycles([zero, c, complement(c)]) != []
+        assert list(enumerate_simple_hcycles([zero, c, complement(c)])) != []
         for cyc in enumerate_simple_hcycles([zero, c, complement(c)]):
             assert zero not in cyc.members
 
@@ -167,6 +174,46 @@ class TestEnumerateCycles:
         c = make_constraint([1], [2], Fraction(0))
         with pytest.raises(SizeLimitError):
             enumerate_simple_hcycles([c] * 17)
+
+    def test_order_matches_bruteforce(self):
+        # The lazy, sign-filtered, pruned walk yields exactly the subset
+        # walk's simple hypercycles, in the same order, with the same
+        # coefficients.  Each draw mixes every shape with a
+        # coefficient-2 constraint, a complement pair, a duplicate
+        # normal vector and a zero vector.
+        rng = random.Random(53)
+        makers = (
+            random_general_constraint,
+            random_octagon_constraint,
+            random_upper_bound_constraint,
+            random_lower_bound_constraint,
+        )
+        found = doubled = 0
+        for k in range(25):
+            n = rng.randint(2, 4)
+            cs = [
+                rng.choice(makers)(rng, n, lo=-4, hi=4)
+                for _ in range(rng.randint(4, 6))
+            ]
+            a, b = rng.sample(range(1, n + 1), 2)
+            cs.append(make_constraint([a, a], [b], random_bound(rng)))
+            cs.append(complement(rng.choice(cs)))
+            twin = rng.choice(cs)
+            cs.append(make_constraint([], [], random_bound(rng)))
+            cs.append(
+                make_constraint([twin.i, twin.q], [twin.j, twin.p], 11)
+            )
+            rng.shuffle(cs)
+            max_size = 2 + k % 5
+            got = [
+                (cyc.members, cyc.coeffs)
+                for cyc in enumerate_simple_hcycles(cs, max_size=max_size)
+            ]
+            expected = simple_hcycles_bruteforce(cs, max_size)
+            assert got == expected
+            found += len(expected)
+            doubled += sum(max(coeffs) >= 2 for _, coeffs in expected)
+        assert found > 100 and doubled > 20
 
 
 class TestCycleWeight:
