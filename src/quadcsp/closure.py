@@ -3,7 +3,8 @@ canonical form.
 
 The cell M[i,j,p,q] bounds a linear form with normal vector
 e_i - e_j - e_p + e_q, and the cells of one normal vector (a class)
-bound the same form, so the closure keeps one bound per class.  Its two
+bound the same form, so the matrix stores, and the closure tightens,
+one bound per class (the layout is ``matrix2d._class_table``).  The two
 composition laws
 
     M[i,j,p,q] <= M[i,j,k,l] + M[k,l,p,q]
@@ -12,23 +13,21 @@ composition laws
 each add two cells whose normal vectors u and w sum to the target's v.
 The pairs of classes they combine, in either order, are exactly the
 pairs (u, w) whose sum u + w = v is itself a class (the tests check this
-against both laws), so
-on classes they are one law, bound(v) <= bound(u) + bound(w), read from a
-per-n table that lists, for each class u, every such (w, v).  The
-doubled differences couple with the plain ones in both directions:
+against both laws), so on classes they are one law,
+bound(v) <= bound(u) + bound(w), read from a per-n table that lists, for
+each class u, every such (w, v).  The doubled differences couple with
+the plain ones in both directions:
 bound(e_i - e_j) <= bound(2e_i - 2e_j) / 2, and the reverse doubling.
 
-On entry each class takes the minimum of its cells; on exit every cell
-gets its class's bound.  The matrix's coupling runs once on entry, then
-in rounds.  A round recombines, through the table, the classes lowered
-in the round before (each as either operand: the table is symmetric),
-then applies the coupling to every pair i != j.  A combination none of
-whose operands moved was already evaluated, so a round that lowers
-nothing proves stationarity.  The first round of a close from scratch is
-that round seeded with every class.  A caller that lowered a few cells
-of a stationary matrix (a witness pin) passes them in, and the first
-round is seeded with their classes, those whose cells disagree on entry
-and those the entry coupling lowered.
+The matrix's coupling runs once on entry, then in rounds.  A round
+recombines, through the table, the classes lowered in the round before
+(each as either operand: the table is symmetric), then applies the
+coupling to every pair i != j.  A combination none of whose operands
+moved was already evaluated, so a round that lowers nothing proves
+stationarity.  The first round of a close from scratch is that round
+seeded with every class.  A caller that lowered a few cells of a
+stationary matrix (a witness pin) passes them in, and the first round is
+seeded with their classes and those the entry coupling lowered.
 
 Rounds repeat until nothing changes, capped at ceil((n+1)^4 / 2).  The
 zero normal vector's bound dropping below zero is a derived
@@ -38,7 +37,7 @@ stops at the end of that round.
 Arithmetic is exact and runs on plain ints.  On entry the finite class
 bounds are scaled to one common denominator D, the lcm of their
 denominators, and each is stored as the int v * D (+inf stays +inf); on
-exit every finite cell turns back into Fraction(v, D), so callers only
+exit every finite bound turns back into Fraction(v, D), so callers only
 ever see Fractions.  Sums and comparisons of scaled bounds are those of
 the rationals they stand for.  Two steps leave the integers, and each
 rescales every bound first: halving an odd doubled bound doubles D, and
@@ -60,7 +59,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable
 
 from .core import INF, Constraint4
@@ -139,36 +137,20 @@ def exactness_of(sub: Subclass) -> Exactness:
     return Exactness.UPPER_APPROX
 
 
-@dataclass(frozen=True)
-class _Table:
-    """Per-n class structure the closure runs on; classes are numbered
-    as in ``matrix2d._class_table``."""
-
-    #: uses[u]: every (w, v) with class u + class w == class v
-    uses: tuple[tuple[tuple[int, int], ...], ...]
-    #: the cells of each class, as row * (n+1)^2 + col
-    members: tuple[tuple[int, ...], ...]
-    #: the class of each cell, row by row
-    row_classes: tuple[tuple[int, ...], ...]
-    #: (class of e_i - e_j, class of 2e_i - 2e_j) for i != j
-    couplings: tuple[tuple[int, int], ...]
-    zero: int
-
-
 @lru_cache(maxsize=None)
-def _table(n: int) -> _Table:
-    class_table = _class_table(n)
-    classes = class_table.classes
-    size = (n + 1) ** 2
+def _sum_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """uses[u]: every (w, v) with class u + class w == class v, in the
+    class numbering of ``matrix2d._class_table``."""
     # Balanced base-9 code: the entries of u + w lie in [-4, 4], so the
     # code of a sum is the sum of the codes.
     codes = [
-        sum(x * 9**d for d, x in enumerate(vec)) for vec, _ in classes
+        sum(x * 9**d for d, x in enumerate(vec))
+        for vec in _class_table(n).vectors
     ]
     index = {code: k for k, code in enumerate(codes)}
     # one int object per class, shared by every entry that names it
     ids = list(range(len(codes)))
-    uses = tuple(
+    return tuple(
         tuple(
             (w, v)
             for w, cw in zip(ids, codes)
@@ -176,47 +158,6 @@ def _table(n: int) -> _Table:
         )
         for cu in codes
     )
-    members = tuple(tuple(r * size + c for r, c in cells) for _, cells in classes)
-    cell_class = [0] * (size * size)
-    for k, cells in enumerate(members):
-        for f in cells:
-            cell_class[f] = k
-    couplings = tuple(
-        (k, cell_class[r * size + c]) for k, (r, c) in class_table.couplings
-    )
-    return _Table(
-        uses=uses,
-        members=members,
-        row_classes=tuple(
-            tuple(cell_class[r * size : (r + 1) * size]) for r in range(size)
-        ),
-        couplings=couplings,
-        zero=index[0],
-    )
-
-
-def _class_bounds(
-    cells: list[list], table: _Table
-) -> tuple[list, int, list[int]]:
-    """The minimum of each class's cells as an int over the lcm D of
-    their denominators (+inf stays INF), D, and the classes whose cells
-    disagree."""
-    flat = list(chain.from_iterable(cells))
-    values = []
-    uneven = []
-    for k, members in enumerate(table.members):
-        cell_values = list(map(flat.__getitem__, members))
-        low = cell_values[0]
-        if cell_values.count(low) != len(cell_values):
-            low = min(cell_values)
-            uneven.append(k)
-        values.append(low)
-    denom = math.lcm(*{v.denominator for v in values if type(v) is not float})
-    bounds = [
-        INF if type(v) is float else v.numerator * (denom // v.denominator)
-        for v in values
-    ]
-    return bounds, denom, uneven
 
 
 def _rescale(bounds: list, factor: int) -> None:
@@ -224,12 +165,11 @@ def _rescale(bounds: list, factor: int) -> None:
 
 
 def _combine(
-    bounds: list, seeds: Iterable[int], table: _Table, trace: dict
+    bounds: list, seeds: Iterable[int], uses: tuple, trace: dict
 ) -> None:
-    """Recombine each class of ``seeds`` with every partner of the
-    table, in place; updated bounds are used immediately.  Each lowered
-    class maps in ``trace`` to the term of its last update."""
-    uses = table.uses
+    """Recombine each class of ``seeds`` with every partner in ``uses``
+    (see ``_sum_table``), in place; updated bounds are used immediately.
+    Each lowered class maps in ``trace`` to the term of its last update."""
     for u in sorted(seeds):
         bu = bounds[u]
         if bu is INF:
@@ -243,13 +183,13 @@ def _combine(
                     trace[v] = ("sum", u, w)
 
 
-def _couple(bounds: list, table: _Table, trace: dict) -> int:
+def _couple(bounds: list, couplings: tuple, trace: dict) -> int:
     """Halve 2e_i - 2e_j into e_i - e_j, or double the other way, in
     place; recorded in ``trace`` like ``_combine``.  An odd bound is
     halved after doubling every bound: returns the factor by which the
     common denominator grew."""
     factor = 1
-    for c1, c2 in table.couplings:
+    for c1, c2 in couplings:
         b2 = bounds[c2]
         if b2 is not INF and b2 < 2 * bounds[c1]:
             if b2 & 1:
@@ -421,28 +361,34 @@ def close(
     Rounds run over classes (see the module docstring); the first is
     seeded with every class.  ``lowered`` seeds it instead with the
     classes of the (row, col) cells lowered since ``matrix`` was last
-    stationary, for instance by a witness pin; classes whose cells
-    disagree, and those the initial coupling lowers, join it.
-    ``sweeps_used`` counts rounds.
+    stationary, for instance by a witness pin; the classes the initial
+    coupling lowers join it.  ``sweeps_used`` counts rounds.
 
     An input whose zero-vector class is already negative returns
     immediately (sweeps_used = 0), which keeps close idempotent on its
     own outputs despite the early exit on infeasibility.
 
     The rounds run on ints over one common denominator (see the module
-    docstring); the result's finite cells are Fractions again.
+    docstring); the result's finite bounds are Fractions again.
     """
-    table = _table(matrix.n)
-    bounds, denom, uneven = _class_bounds(matrix.cells, table)
+    layout = _class_table(matrix.n)
+    uses = _sum_table(matrix.n)
+    denom = math.lcm(
+        *{b.denominator for b in matrix.bounds if type(b) is not float}
+    )
+    bounds = [
+        INF if type(b) is float else b.numerator * (denom // b.denominator)
+        for b in matrix.bounds
+    ]
     trace: dict = {}
-    denom *= _couple(bounds, table, trace)
+    denom *= _couple(bounds, layout.couplings, trace)
     # a zero-vector class already negative: no round runs
-    feasible = bounds[table.zero] >= 0
+    feasible = bounds[layout.zero] >= 0
     if lowered is None:
         delta = range(len(bounds))
     else:
-        delta = {table.row_classes[r][c] for r, c in lowered}
-        delta.update(uneven, trace)
+        delta = {matrix.class_of_cell(r, c) for r, c in lowered}
+        delta.update(trace)
     cap = sweep_cap(matrix.n) if max_sweeps is None else max_sweeps
     sweeps = 0
     stationary = False
@@ -450,9 +396,9 @@ def close(
     while feasible and sweeps < cap:
         sweeps += 1
         trace = {}
-        _combine(bounds, delta, table, trace)
-        denom *= _couple(bounds, table, trace)
-        if bounds[table.zero] < 0:
+        _combine(bounds, delta, uses, trace)
+        denom *= _couple(bounds, layout.couplings, trace)
+        if bounds[layout.zero] < 0:
             feasible = False
             break
         if not trace:
@@ -481,9 +427,9 @@ def close(
                 for cls, value in lower.items():
                     bounds[cls] = value.numerator * (factor // value.denominator)
                 delta.update(lower)
-                denom *= _couple(bounds, table, trace)
+                denom *= _couple(bounds, layout.couplings, trace)
                 delta.update(trace)
-                if bounds[table.zero] < 0:
+                if bounds[layout.zero] < 0:
                     feasible = False
                     break
     exact = (
@@ -492,11 +438,9 @@ def close(
         and subclass is not None
         and exactness_of(subclass) is Exactness.EXACT
     )
-    values = [b if b is INF else Fraction(b, denom) for b in bounds]
     return ClosureResult(
         matrix=Matrix2D(
-            matrix.n,
-            [list(map(values.__getitem__, row)) for row in table.row_classes],
+            matrix.n, [b if b is INF else Fraction(b, denom) for b in bounds]
         ),
         feasible=feasible,
         sweeps_used=sweeps,

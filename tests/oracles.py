@@ -2,8 +2,9 @@
 
 These deliberately avoid all quadcsp internals so that agreement is
 meaningful: plain Floyd-Warshall / Bellman-Ford over Fraction weights,
-and a subset-by-subset hypercycle walk built only on the public
-single-family tests ``positive_dependence`` and ``is_simple``.
+a subset-by-subset hypercycle walk built only on the public
+single-family tests ``positive_dependence`` and ``is_simple``, and the
+cell grid of a bound matrix read through its public ``get``.
 """
 
 from __future__ import annotations
@@ -84,3 +85,26 @@ def simple_hcycles_bruteforce(constraints, max_size):
             if coeffs is not None and is_simple(vecs):
                 out.append((tuple(constraints[k] for k in subset), coeffs))
     return out
+
+
+def cell_grid(m):
+    """The (n+1)^2 x (n+1)^2 cell grid of a bound matrix, read cell by
+    cell through ``m.get``: row p*(n+1)+q, column i*(n+1)+j holds the
+    bound of (xi - xj) - (xp - xq).  A fresh list; editing it leaves
+    ``m`` unchanged."""
+    pairs = [(a, b) for a in range(m.n + 1) for b in range(m.n + 1)]
+    return [[m.get(i, j, p, q) for i, j in pairs] for p, q in pairs]
+
+
+def satisfies(m, valuation):
+    """Exact substitution of a valuation (indexed x0..xn) into every
+    finite cell of a bound matrix, read as (vi - vj) - (vp - vq) <= cell."""
+    np1 = m.n + 1
+    if len(valuation) != np1:
+        raise ValueError(f"valuation needs {np1} entries")
+    diffs = [valuation[a] - valuation[b] for a in range(np1) for b in range(np1)]
+    for r, row in enumerate(cell_grid(m)):
+        for c, bound in enumerate(row):
+            if bound != INF and diffs[c] - diffs[r] > bound:
+                return False
+    return True

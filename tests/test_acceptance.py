@@ -24,7 +24,6 @@ from quadcsp.lindep import (
     unique_coeffs,
 )
 from quadcsp.matrix2d import _class_table, from_dbm, load
-from quadcsp.matrix2d import satisfies as matrix_satisfies
 from quadcsp.solver import solve
 from gen import (
     box_constraints,
@@ -35,7 +34,8 @@ from gen import (
     random_potential_dbm,
     random_upper_bound_constraint,
 )
-from oracles import floyd_warshall
+from oracles import cell_grid, floyd_warshall
+from oracles import satisfies as matrix_satisfies
 
 SEVEN = """
 x1 - x2 - x3 <= 3
@@ -66,11 +66,17 @@ def criterion(number: int, description: str):
 def _class_values(matrix):
     """(normal vector, value) per equivalence class, deduplicated; the
     value is +inf where the closure left the class unbounded."""
+    table = _class_table(matrix.n)
+    grid = cell_grid(matrix)
+    size = len(grid)
+    values = [set() for _ in table.vectors]
+    for cell, k in enumerate(table.cell_class):
+        r, c = divmod(cell, size)
+        values[k].add(grid[r][c])
     out = []
-    for vec, members in _class_table(matrix.n).classes:
-        values = {matrix.cells[r][c] for r, c in members}
-        assert len(values) == 1, "class cells must agree after closure"
-        out.append((vec, values.pop()))
+    for vec, seen in zip(table.vectors, values):
+        assert len(seen) == 1, "class cells must agree after closure"
+        out.append((vec, seen.pop()))
     return out
 
 
@@ -359,10 +365,10 @@ def test_criterion_8_closure_properties():
             matrix = random_matrix(rng, n)
             first = close(matrix)
             assert first.sweeps_used <= sweep_cap(n)
-            size = len(matrix.cells)
-            for r in range(size):
-                for c in range(size):
-                    assert first.matrix.cells[r][c] <= matrix.cells[r][c]
+            before, after = cell_grid(matrix), cell_grid(first.matrix)
+            for r in range(len(before)):
+                for c in range(len(before)):
+                    assert after[r][c] <= before[r][c]
             second = close(first.matrix)
             assert second.matrix == first.matrix
             assert second.sweeps_used == (1 if first.feasible else 0)

@@ -276,3 +276,38 @@ class TestFixtureCorpus:
         doc = json.loads(out)
         matrix = from_json_obj(doc["matrix"])
         assert to_json_obj(matrix) == doc["matrix"]
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden_v1.json").read_text()
+)
+
+
+def _verdict(command, fmt, stdout):
+    """The feasible/infeasible verdict of a close or solve output."""
+    if fmt == "json":
+        return json.loads(stdout)["feasible"]
+    first = stdout.splitlines()[0]
+    if command == "close":  # "# n=... feasible=true|false"
+        return first.endswith("feasible=true")
+    return first == "feasible"
+
+
+class TestGoldenV1:
+    """stdout and exit code of every command x format x fixture, byte
+    for byte, as recorded in ``golden_v1.json``.  The matrix that close
+    and solve print for an infeasible input is its stop state, which the
+    v1 contract leaves open: there only the exit code and the verdict
+    are recorded."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_output_bytes(self, key):
+        command, fmt, name = key.split()
+        expected = GOLDEN[key]
+        code, out, err = invoke(command, FIXTURES / name, fmt=fmt)
+        assert err == ""
+        assert code == expected["exit"]
+        if "stdout" in expected:
+            assert out == expected["stdout"]
+        else:
+            assert _verdict(command, fmt, out) is expected["feasible"]

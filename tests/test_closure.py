@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from quadcsp.closure import (
     Exactness,
     Subclass,
-    _table,
+    _sum_table,
     classify,
     close,
     exactness_of,
@@ -15,11 +16,11 @@ from quadcsp.closure import (
 from quadcsp.core import parse_constraints
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_tight_bound
 from quadcsp.matrix2d import (
+    Matrix2D,
     _class_table,
     from_dbm,
     load,
     new_matrix,
-    satisfies,
 )
 from gen import (
     box_constraints,
@@ -30,7 +31,7 @@ from gen import (
     random_potential_dbm,
     random_upper_bound_constraint,
 )
-from oracles import floyd_warshall
+from oracles import cell_grid, floyd_warshall, satisfies
 
 SEVEN = """
 x1 - x2 - x3 <= 3
@@ -183,10 +184,10 @@ class TestProperties:
             n = rng.randint(1, 3)
             m = random_matrix(rng, n)
             first = close(m)
-            size = len(m.cells)
-            for r in range(size):
-                for c in range(size):
-                    assert first.matrix.cells[r][c] <= m.cells[r][c]
+            before, after = cell_grid(m), cell_grid(first.matrix)
+            for r in range(len(before)):
+                for c in range(len(before)):
+                    assert after[r][c] <= before[r][c]
             second = close(first.matrix)
             assert second.matrix == first.matrix
             assert second.sweeps_used == (1 if first.feasible else 0)
@@ -212,9 +213,9 @@ class TestProperties:
                 continue
             result = close(load(cs, n), subclass=classify(cs))
             assert result.feasible
-            for vec, members in _class_table(n).classes:
-                r, c = members[0]
-                value = result.matrix.cells[r][c]
+            for vec, value in zip(
+                _class_table(n).vectors, result.matrix.bounds
+            ):
                 if isinstance(value, float):
                     continue
                 assert value >= fm_tight_bound(sys, vec)
@@ -233,9 +234,9 @@ class TestProperties:
                 continue
             result = close(load(cs, n), subclass=classify(cs))
             assert result.exactness is Exactness.EXACT
-            for vec, members in _class_table(n).classes:
-                r, c = members[0]
-                value = result.matrix.cells[r][c]
+            for vec, value in zip(
+                _class_table(n).vectors, result.matrix.bounds
+            ):
                 if isinstance(value, float):
                     continue
                 assert value == fm_tight_bound(sys, vec)
@@ -257,9 +258,9 @@ class TestProperties:
                 continue
             result = close(load(cs, n), subclass=classify(cs))
             assert result.feasible
-            for vec, members in _class_table(n).classes:
-                r, c = members[0]
-                value = result.matrix.cells[r][c]
+            for vec, value in zip(
+                _class_table(n).vectors, result.matrix.bounds
+            ):
                 if isinstance(value, float):
                     continue
                 assert value >= fm_tight_bound(sys, vec)
@@ -383,21 +384,89 @@ def _sweep(cells: list[list], n: int, trace: dict | None = None) -> bool:
     return changed
 
 
+@lru_cache(maxsize=None)
+def _vector_classes(n: int) -> dict:
+    """The (row, col) cells of each normal vector e_i - e_j - e_p + e_q."""
+    np1 = n + 1
+    groups: dict = {}
+    for r in range(np1 * np1):
+        p, q = divmod(r, np1)
+        for c in range(np1 * np1):
+            i, j = divmod(c, np1)
+            v = [0] * np1
+            v[i] += 1
+            v[j] -= 1
+            v[p] -= 1
+            v[q] += 1
+            groups.setdefault(tuple(v), []).append((r, c))
+    return groups
+
+
+def _normalize(cells: list[list], n: int) -> bool:
+    """Cell-level coherence, in place: pull every cell of a normal
+    vector down to the minimum of its cells, then couple each doubled
+    cell M[i,j,j,i] with the class of e_i - e_j by mutual min (halving
+    into the class, doubling into the cell).  True when a cell changed."""
+    groups = _vector_classes(n)
+    changed = False
+    for members in groups.values():
+        low = min(cells[r][c] for r, c in members)
+        for r, c in members:
+            if cells[r][c] != low:
+                cells[r][c] = low
+                changed = True
+    np1 = n + 1
+    for i in range(np1):
+        for j in range(np1):
+            if i == j:
+                continue
+            unit = [0] * np1
+            unit[i], unit[j] = 1, -1
+            members = groups[tuple(unit)]
+            r1, c1 = members[0]
+            b1 = cells[r1][c1]
+            rjj, cjj = j * np1 + i, i * np1 + j
+            bjj = cells[rjj][cjj]
+            if not isinstance(bjj, float) and bjj < 2 * b1:
+                for r, c in members:
+                    cells[r][c] = bjj / 2
+                changed = True
+            elif not isinstance(b1, float) and 2 * b1 < bjj:
+                cells[rjj][cjj] = 2 * b1
+                changed = True
+    return changed
+
+
+def _from_grid(cells: list[list], n: int) -> Matrix2D:
+    """A matrix holding every cell of ``cells`` (set_min cell by cell)."""
+    m = new_matrix(n)
+    np1 = n + 1
+    for r, row in enumerate(cells):
+        p, q = divmod(r, np1)
+        for c, v in enumerate(row):
+            i, j = divmod(c, np1)
+            m.set_min(i, j, p, q, v)
+    return m
+
+
 def reference_close(matrix, cap):
-    """Plain iteration of full sweeps and normalization, no acceleration:
-    (matrix, feasible, stationary) after at most ``cap`` sweeps."""
-    m = matrix.copy()
-    m._normalize()
-    if m.has_negative_zero_cell():
-        return m, False, False
+    """Plain iteration of full sweeps and normalization on the cell
+    grid, no acceleration: (matrix, feasible, stationary) after at most
+    ``cap`` sweeps.  The cells of a normal vector agree after each
+    ``_normalize``, so cell (0, 0), of the zero vector, reads its class."""
+    n = matrix.n
+    cells = cell_grid(matrix)
+    _normalize(cells, n)
+    if cells[0][0] < 0:
+        return _from_grid(cells, n), False, False
     for _ in range(cap):
-        changed = _sweep(m.cells, m.n)
-        changed = m._normalize() or changed
-        if m.has_negative_zero_cell():
-            return m, False, False
+        changed = _sweep(cells, n)
+        changed = _normalize(cells, n) or changed
+        if cells[0][0] < 0:
+            return _from_grid(cells, n), False, False
         if not changed:
-            return m, True, True
-    return m, True, False
+            return _from_grid(cells, n), True, True
+    return _from_grid(cells, n), True, False
 
 
 GENERATORS = {
@@ -496,10 +565,8 @@ class TestClassSumTable:
         for n in range(1, 6):
             np1 = n + 1
             size = np1 * np1
-            cls = [[0] * size for _ in range(size)]
-            for k, (_, members) in enumerate(_class_table(n).classes):
-                for r, c in members:
-                    cls[r][c] = k
+            cell_class = _class_table(n).cell_class
+            cls = [cell_class[r * size : (r + 1) * size] for r in range(size)]
             # the index pattern of _sweep
             base = [k * np1 for k in range(np1)]
             laws = set()
@@ -519,7 +586,7 @@ class TestClassSumTable:
                         laws.add((*sorted(law2), v))
             table = {
                 (*sorted((u, w)), v)
-                for u, pairs in enumerate(_table(n).uses)
+                for u, pairs in enumerate(_sum_table(n))
                 for w, v in pairs
             }
             assert table == laws, n

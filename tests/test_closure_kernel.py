@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from quadcsp.closure import classify, close
 from quadcsp.core import INF, make_constraint, parse_constraints
 from quadcsp.matrix2d import from_json, load, new_matrix
+from oracles import cell_grid
 from test_closure import reference_close
 
 
@@ -27,7 +28,7 @@ def closed(text, **kwargs):
 
 
 def assert_fraction_cells(matrix):
-    for row in matrix.cells:
+    for row in cell_grid(matrix):
         for v in row:
             assert type(v) is Fraction or (type(v) is float and v == INF), v
 

@@ -15,6 +15,7 @@ from quadcsp.matrix2d import (
     to_json,
 )
 from gen import random_matrix
+from oracles import cell_grid
 
 # The running seven-constraint example: three multi-variable constraints
 # plus four single-variable upper bounds.
@@ -29,6 +30,21 @@ x1 <= 6
 """
 
 
+def _quadruples(n):
+    r = range(n + 1)
+    return [(i, j, p, q) for i in r for j in r for p in r for q in r]
+
+
+def _cell_vector(i, j, p, q, n):
+    """Normal vector e_i - e_j - e_p + e_q of a cell, over x0..xn."""
+    v = [0] * (n + 1)
+    v[i] += 1
+    v[j] -= 1
+    v[p] -= 1
+    v[q] += 1
+    return tuple(v)
+
+
 def seven_system():
     cs, n = parse_constraints(SEVEN)
     assert n == 4
@@ -38,7 +54,7 @@ def seven_system():
 class TestNewMatrix:
     def test_zero_cell_at_origin(self):
         m = new_matrix(1)
-        assert len(m.cells) == 4
+        assert len(cell_grid(m)) == 4
         assert m.get(0, 0, 0, 0) == 0
 
     def test_zero_vector_cell_elsewhere(self):
@@ -152,11 +168,12 @@ class TestNormalize:
             for _ in range(8):
                 i, j, p, q = (rng.randint(0, n) for _ in range(4))
                 m.set_min(i, j, p, q, Fraction(rng.randint(-10, 10)))
-            before = m.copy()
+            before = cell_grid(m)
             m.normalize()
-            for r in range(len(m.cells)):
-                for c in range(len(m.cells)):
-                    assert m.cells[r][c] <= before.cells[r][c]
+            after = cell_grid(m)
+            for r in range(len(after)):
+                for c in range(len(after)):
+                    assert after[r][c] <= before[r][c]
 
     def test_orientations_agree_after_normalize(self):
         rng = random.Random(9)
@@ -180,6 +197,22 @@ class TestAccess:
         m.set_min(1, 0, 0, 0, Fraction(5))
         m.set_min(1, 0, 0, 0, Fraction(7))
         assert m.get(1, 0, 0, 0) == 5
+
+    def test_set_min_lowers_the_whole_class(self):
+        # no normalize(): a class holds one bound, so every cell of the
+        # class of x1 - x0 - (x2 - x3) reads it at once
+        m = new_matrix(3)
+        m.set_min(1, 0, 2, 3, Fraction(3))
+        fresh = new_matrix(3)
+        vec = _cell_vector(1, 0, 2, 3, 3)
+        seen = 0
+        for i, j, p, q in _quadruples(3):
+            if _cell_vector(i, j, p, q, 3) == vec:
+                assert m.get(i, j, p, q) == 3
+                seen += 1
+            else:
+                assert m.get(i, j, p, q) == fresh.get(i, j, p, q)
+        assert seen > 1
 
     def test_index_out_of_range(self):
         m = new_matrix(2)
@@ -219,7 +252,7 @@ class TestValuationSemantics:
         # a valuation satisfies the constraint list iff it satisfies
         # every finite cell of the loaded (normalized) matrix
         from quadcsp.core import satisfies as c_satisfies
-        from quadcsp.matrix2d import satisfies as m_satisfies
+        from oracles import satisfies as m_satisfies
         from gen import random_general_constraint
 
         rng = random.Random(13)
@@ -262,6 +295,16 @@ class TestSerialization:
         text = '{"n": 1, "cells": [[0, 2, "inf"], [0, 2, "3/2"]]}'
         m = from_json(text)
         assert m.get(1, 0, 0, 0) == Fraction(3, 2)
+
+    def test_partial_class_reads_its_minimum(self):
+        # the class of x1 - x0 has the cells (row, col) (0, 2), (3, 2),
+        # (1, 0) and (1, 3), i.e. (i, j, p, q) = (1, 0, 0, 0),
+        # (1, 0, 1, 1), (0, 0, 0, 1) and (1, 1, 0, 1): listed or not,
+        # each reads the minimum of the listed ones
+        m = from_json('{"n": 1, "cells": [[0, 2, "5"], [3, 2, "3"]]}')
+        grid = cell_grid(m)
+        assert [grid[0][2], grid[3][2], grid[1][0], grid[1][3]] == [3] * 4
+        assert from_json(to_json(m)) == m
 
     def test_bad_cells_rejected(self):
         import pytest
