@@ -10,9 +10,12 @@ comments, variables x1..xn inferred from the highest index used):
     subclass   syntactic subclass and whether closure is exact on it
     explain    for infeasible input, a negative-weight certificate
 
-Exit codes: 0 ok/feasible, 1 infeasible, 2 parse or configuration error,
-3 verdict disagreement between closure and the elimination oracle in
---oracle mode.
+Each command builds one result document, a dict that ``--format json``
+prints as it is; ``--format text`` renders the same document as lines.
+
+Exit codes: 0 ok/feasible, 1 infeasible, 2 parse or configuration error
+(including an input file that is not UTF-8), 3 verdict disagreement
+between closure and the elimination oracle in --oracle mode.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 from . import __version__
-from .closure import ClosureResult, classify, close, exactness_of
+from .closure import classify, close, exactness_of
 from .core import (
     Constraint4,
     ParseError,
@@ -42,12 +45,22 @@ from .lindep import (
     enumerate_simple_hcycles,
 )
 from .matrix2d import MAX_VARIABLES, load, to_json_obj
-from .solver import solve as run_solve
+from .solver import reduce_domains, solve as run_solve
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_MISMATCH = 3
+
+#: Subcommand name -> help text, in ``--help`` order.
+COMMANDS = {
+    "check": "report feasible/infeasible",
+    "close": "emit the tightened bound matrix",
+    "solve": "full report: verdict, intervals, witness",
+    "bounds": "variable intervals",
+    "subclass": "syntactic subclass and exactness",
+    "explain": "negative-cycle certificate for infeasible input",
+}
 
 
 @dataclass
@@ -76,14 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("check", "report feasible/infeasible"),
-        ("close", "emit the tightened bound matrix"),
-        ("solve", "full report: verdict, intervals, witness"),
-        ("bounds", "variable intervals"),
-        ("subclass", "syntactic subclass and exactness"),
-        ("explain", "negative-cycle certificate for infeasible input"),
-    ]:
+    for name, help_text in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="constraint file")
         p.add_argument(
@@ -130,31 +136,113 @@ def _read_constraints(path: str) -> tuple[list[Constraint4], int]:
         return parse_constraints(fh.read())
 
 
-def _oracle_verdict_check(
-    feasible: bool, constraints, n, err: TextIO
-) -> bool:
-    oracle = fm_feasible(LinearSystem.from_constraints(constraints, n))
-    if oracle != feasible:
-        print(
-            "ORACLE DISAGREEMENT: closure says "
-            f"{'feasible' if feasible else 'infeasible'} but elimination "
-            f"says {'feasible' if oracle else 'infeasible'}",
-            file=err,
+def _domains(domains) -> list[list[str]] | None:
+    if domains is None:
+        return None
+    return [[format_bound(lo), format_bound(hi)] for lo, hi in domains]
+
+
+def _document(cfg: RunConfig, constraints, n) -> dict:
+    """The result of one command: the document ``--format json`` prints."""
+    sub = classify(constraints)
+    if cfg.command == "subclass":
+        return {"subclass": sub.value, "exactness": exactness_of(sub).value}
+    if n > MAX_VARIABLES:
+        raise SizeLimitError(
+            f"x{n} exceeds the supported maximum of {MAX_VARIABLES} variables"
         )
-        return False
-    return True
-
-
-def _interval_text(lo, hi) -> str:
-    return f"[{format_bound(lo)}, {format_bound(hi)}]"
-
-
-def _closed(cfg: RunConfig, constraints, n) -> ClosureResult:
-    return close(
-        load(constraints, n),
-        subclass=classify(constraints),
-        max_sweeps=cfg.max_sweeps,
+    if cfg.command == "explain" and len(constraints) > DEFAULT_MAX_CONSTRAINTS:
+        raise SizeLimitError(
+            f"explain handles at most {DEFAULT_MAX_CONSTRAINTS} constraints"
+        )
+    if cfg.command == "solve":
+        report = run_solve(
+            constraints, n, cfg.witness_anyway, max_sweeps=cfg.max_sweeps
+        )
+        return {
+            "feasible": report.feasible,
+            "subclass": sub.value,
+            "exactness": report.closed.exactness.value,
+            "sweeps_used": report.closed.sweeps_used,
+            "domains": _domains(report.domains),
+            "witness": None
+            if report.witness is None
+            else [str(v) for v in report.witness],
+            "matrix": to_json_obj(report.closed.matrix),
+        }
+    closed = close(
+        load(constraints, n), subclass=sub, max_sweeps=cfg.max_sweeps
     )
+    feasible = closed.feasible
+    if cfg.command == "check":
+        return {"feasible": feasible}
+    if cfg.command == "close":
+        return {
+            "feasible": feasible,
+            "sweeps_used": closed.sweeps_used,
+            "exactness": closed.exactness.value,
+            "matrix": to_json_obj(closed.matrix),
+        }
+    if cfg.command == "bounds":
+        return {
+            "feasible": feasible,
+            "domains": _domains(reduce_domains(closed.matrix))
+            if feasible
+            else None,
+        }
+    return {
+        "feasible": feasible,
+        "cycle": None
+        if feasible
+        else _negative_cycle(constraints, cfg.max_cycle_size),
+    }
+
+
+def _text(cfg: RunConfig, doc: dict) -> list[str]:
+    """The ``--format text`` lines of one result document."""
+    if cfg.command == "subclass":
+        return [f"{doc['subclass']} / {doc['exactness']}"]
+    verdict = "feasible" if doc["feasible"] else "infeasible"
+    intervals = [
+        f"x{i} in [{lo}, {hi}]"
+        for i, (lo, hi) in enumerate(doc.get("domains") or (), start=1)
+    ]
+    if cfg.command == "close":
+        matrix = doc["matrix"]
+        return [
+            f"# n={matrix['n']} feasible={str(doc['feasible']).lower()}",
+            f"# sweeps_used={doc['sweeps_used']} exactness={doc['exactness']}",
+            *(f"{row}\t{col}\t{value}" for row, col, value in matrix["cells"]),
+        ]
+    if cfg.command == "bounds":
+        return intervals if doc["feasible"] else [verdict]
+    if cfg.command == "solve":
+        lines = [
+            verdict,
+            f"subclass: {doc['subclass']} / {doc['exactness']}",
+            f"sweeps used: {doc['sweeps_used']}",
+            *intervals,
+        ]
+        if doc["witness"] is not None:
+            parts = " ".join(f"x{k}={v}" for k, v in enumerate(doc["witness"]))
+            lines.append(f"witness: {parts}")
+        elif doc["feasible"]:
+            lines.append("witness: none (system unbounded)")
+        return lines
+    if cfg.command == "check" or doc["feasible"]:
+        return [verdict]
+    cycle = doc["cycle"]
+    if cycle is None:
+        return [
+            "infeasible (no simple-cycle certificate within "
+            f"size {cfg.max_cycle_size})"
+        ]
+    terms = zip(cycle["constraints"], cycle["coeffs"])
+    return [
+        "infeasible; negative combination:",
+        *(f"  {coeff} * ({text})" for text, coeff in terms),
+        f"  total weight {cycle['weight']} < 0",
+    ]
 
 
 def run(
@@ -162,182 +250,27 @@ def run(
 ) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    if cfg.command not in COMMANDS:
+        raise ParseError(f"unknown command {cfg.command!r}")
     constraints, n = _read_constraints(cfg.input_path)
-
-    if cfg.command == "subclass":
-        sub = classify(constraints)
-        exact = exactness_of(sub)
-        if cfg.fmt == "json":
+    doc = _document(cfg, constraints, n)
+    feasible = doc.get("feasible", True)  # subclass gives no verdict
+    if cfg.oracle and "feasible" in doc:
+        oracle = fm_feasible(LinearSystem.from_constraints(constraints, n))
+        if oracle != feasible:
             print(
-                json.dumps(
-                    {"subclass": sub.value, "exactness": exact.value},
-                    separators=(",", ":"),
-                ),
-                file=out,
+                "ORACLE DISAGREEMENT: closure says "
+                f"{'feasible' if feasible else 'infeasible'} but elimination "
+                f"says {'feasible' if oracle else 'infeasible'}",
+                file=err,
             )
-        else:
-            print(f"{sub.value} / {exact.value}", file=out)
-        return EXIT_OK
-
-    if n > MAX_VARIABLES:
-        raise SizeLimitError(
-            f"x{n} exceeds the supported maximum of {MAX_VARIABLES} variables"
-        )
-
-    if cfg.command == "explain" and len(constraints) > DEFAULT_MAX_CONSTRAINTS:
-        raise SizeLimitError(
-            f"explain handles at most {DEFAULT_MAX_CONSTRAINTS} constraints"
-        )
-
-    if cfg.command == "solve":
-        report = run_solve(
-            constraints,
-            n,
-            witness_anyway=cfg.witness_anyway,
-            max_sweeps=cfg.max_sweeps,
-        )
-        closed = report.closed
-        feasible = report.feasible
+            return EXIT_ORACLE_MISMATCH
+    if cfg.fmt == "json":
+        print(json.dumps(doc, separators=(",", ":")), file=out)
     else:
-        closed = _closed(cfg, constraints, n)
-        feasible = closed.feasible
-        report = None
-
-    if cfg.oracle and not _oracle_verdict_check(feasible, constraints, n, err):
-        return EXIT_ORACLE_MISMATCH
-
-    status = EXIT_OK if feasible else EXIT_INFEASIBLE
-
-    if cfg.command == "check":
-        if cfg.fmt == "json":
-            print(
-                json.dumps({"feasible": feasible}, separators=(",", ":")),
-                file=out,
-            )
-        else:
-            print("feasible" if feasible else "infeasible", file=out)
-        return status
-
-    if cfg.command == "close":
-        obj = to_json_obj(closed.matrix)
-        if cfg.fmt == "json":
-            doc = {
-                "feasible": feasible,
-                "sweeps_used": closed.sweeps_used,
-                "exactness": closed.exactness.value,
-                "matrix": obj,
-            }
-            print(json.dumps(doc, separators=(",", ":")), file=out)
-        else:
-            print(f"# n={obj['n']} feasible={str(feasible).lower()}", file=out)
-            print(
-                f"# sweeps_used={closed.sweeps_used} "
-                f"exactness={closed.exactness.value}",
-                file=out,
-            )
-            for row, col, value in obj["cells"]:
-                print(f"{row}\t{col}\t{value}", file=out)
-        return status
-
-    if cfg.command == "bounds":
-        if not feasible:
-            if cfg.fmt == "json":
-                print(
-                    json.dumps(
-                        {"feasible": False, "domains": None},
-                        separators=(",", ":"),
-                    ),
-                    file=out,
-                )
-            else:
-                print("infeasible", file=out)
-            return status
-        from .solver import reduce_domains
-
-        domains = reduce_domains(closed.matrix)
-        if cfg.fmt == "json":
-            doc = {
-                "feasible": True,
-                "domains": [
-                    [format_bound(lo), format_bound(hi)] for lo, hi in domains
-                ],
-            }
-            print(json.dumps(doc, separators=(",", ":")), file=out)
-        else:
-            for i, (lo, hi) in enumerate(domains, start=1):
-                print(f"x{i} in {_interval_text(lo, hi)}", file=out)
-        return status
-
-    if cfg.command == "solve":
-        sub = classify(constraints)
-        if cfg.fmt == "json":
-            doc = {
-                "feasible": feasible,
-                "subclass": sub.value,
-                "exactness": closed.exactness.value,
-                "sweeps_used": closed.sweeps_used,
-                "domains": None
-                if report.domains is None
-                else [
-                    [format_bound(lo), format_bound(hi)]
-                    for lo, hi in report.domains
-                ],
-                "witness": None
-                if report.witness is None
-                else [str(v) for v in report.witness],
-                "matrix": to_json_obj(closed.matrix),
-            }
-            print(json.dumps(doc, separators=(",", ":")), file=out)
-        else:
-            print("feasible" if feasible else "infeasible", file=out)
-            print(f"subclass: {sub.value} / {closed.exactness.value}", file=out)
-            print(f"sweeps used: {closed.sweeps_used}", file=out)
-            if report.domains is not None:
-                for i, (lo, hi) in enumerate(report.domains, start=1):
-                    print(f"x{i} in {_interval_text(lo, hi)}", file=out)
-            if report.witness is not None:
-                parts = " ".join(
-                    f"x{k}={v}" for k, v in enumerate(report.witness)
-                )
-                print(f"witness: {parts}", file=out)
-            elif feasible:
-                print("witness: none (system unbounded)", file=out)
-        return status
-
-    if cfg.command == "explain":
-        if feasible:
-            if cfg.fmt == "json":
-                print(
-                    json.dumps(
-                        {"feasible": True, "cycle": None},
-                        separators=(",", ":"),
-                    ),
-                    file=out,
-                )
-            else:
-                print("feasible", file=out)
-            return status
-        certificate = _negative_cycle(constraints, cfg.max_cycle_size)
-        if cfg.fmt == "json":
-            doc = {"feasible": False, "cycle": certificate}
-            print(json.dumps(doc, separators=(",", ":")), file=out)
-        else:
-            if certificate is None:
-                print(
-                    "infeasible (no simple-cycle certificate within "
-                    f"size {cfg.max_cycle_size})",
-                    file=out,
-                )
-            else:
-                print("infeasible; negative combination:", file=out)
-                for text, coeff in zip(
-                    certificate["constraints"], certificate["coeffs"]
-                ):
-                    print(f"  {coeff} * ({text})", file=out)
-                print(f"  total weight {certificate['weight']} < 0", file=out)
-        return status
-
-    raise ParseError(f"unknown command {cfg.command!r}")
+        for line in _text(cfg, doc):
+            print(line, file=out)
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 def _negative_cycle(constraints, max_cycle_size) -> dict | None:
@@ -372,12 +305,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         return run(cfg)
-    except (ParseError, SizeLimitError, ResourceLimitError) as exc:
+    except (ParseError, SizeLimitError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(
+            f"error: {args.input}: not UTF-8 at byte {exc.start}", file=sys.stderr
+        )
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

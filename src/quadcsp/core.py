@@ -135,10 +135,6 @@ def normal_vector(c: Constraint4, n: int) -> NormalVector:
     return tuple(v)
 
 
-def max_index(c: Constraint4) -> int:
-    return max(c.indices())
-
-
 def functional_value(c: Constraint4, valuation: Sequence[Fraction]) -> Fraction:
     """(vi - vj) - (vp - vq) for a valuation indexed x0..xn."""
     v = valuation

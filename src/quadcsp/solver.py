@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .closure import ClosureResult, classify, close
 from .core import (
@@ -94,6 +94,28 @@ def _pin_constraints(i: int, value: Fraction) -> list[Constraint4]:
     return [make_constraint([i], [], value), make_constraint([], [i], -value)]
 
 
+def _oracle_point(system: LinearSystem, i: int) -> Fraction:
+    """xi at the oracle's point of ``system``."""
+    point = fm_solution(system)
+    if point is None:
+        raise RuntimeError(
+            "internal error: oracle finds no point of a feasible system"
+        )
+    return point[i]
+
+
+def _oracle_supremum(system: LinearSystem, i: int) -> Fraction:
+    """The oracle's exact supremum of xi over ``system``."""
+    objective = [0] * (system.n + 1)
+    objective[i] = 1
+    hi = fm_tight_bound(system, objective)
+    if hi is None or not is_finite(hi):
+        raise RuntimeError(
+            f"internal error: oracle gives no finite supremum of x{i}: {hi}"
+        )
+    return hi
+
+
 def extract_witness(
     closed: Matrix2D,
     pin_unbounded_to_zero: bool = False,
@@ -124,7 +146,32 @@ def extract_witness(
     # Oracle fallbacks run on these plus the pins so far: the polyhedron
     # of the pinned matrix, in far fewer rows than its finite classes.
     source = to_constraints(closed) if constraints is None else list(constraints)
-    pins: list[Constraint4] = []
+    pins: list[tuple[int, Fraction]] = []
+
+    def pin(
+        i: int,
+        value: Fraction,
+        fallback: Callable[[LinearSystem, int], Fraction],
+        what: str,
+    ) -> Fraction:
+        """Pin xi to ``value`` or, when the closure finds that
+        infeasible (a closed bound that overshoots is not attained), to
+        ``fallback(system, i)`` on the oracle's system; returns the value
+        pinned."""
+        nonlocal m, stationary
+        trial = _pin(m, i, value, max_sweeps, stationary)
+        if not trial.feasible:
+            rows = [*source, *(c for p in pins for c in _pin_constraints(*p))]
+            value = fallback(LinearSystem.from_constraints(rows, m.n), i)
+            trial = _pin(m, i, value, max_sweeps, stationary)
+            if not trial.feasible:
+                raise RuntimeError(
+                    f"internal error: pinning x{i} to the oracle's "
+                    f"{what} {value} is infeasible"
+                )
+        m, stationary = trial.matrix, trial.stationary
+        pins.append((i, value))
+        return value
 
     if not is_bounded(m):
         if not pin_unbounded_to_zero:
@@ -133,62 +180,22 @@ def extract_witness(
             )
         while True:
             unbounded = [
-                i
+                (i, lo, hi)
                 for i, (lo, hi) in enumerate(reduce_domains(m), start=1)
                 if not (is_finite(lo) and is_finite(hi))
             ]
             if not unbounded:
                 break
-            i = unbounded[0]
-            lo, hi = reduce_domains(m)[i - 1]
+            i, lo, hi = unbounded[0]
             value = Fraction(max(lo, min(hi, Fraction(0))))
-            trial = _pin(m, i, value, max_sweeps, stationary)
-            if not trial.feasible:
-                system = LinearSystem.from_constraints(source + pins, m.n)
-                point = fm_solution(system)
-                if point is None:
-                    raise RuntimeError(
-                        "internal error: oracle finds no point of a "
-                        "feasible system"
-                    )
-                value = point[i]
-                trial = _pin(m, i, value, max_sweeps, stationary)
-                if not trial.feasible:
-                    raise RuntimeError(
-                        f"internal error: pinning x{i} to the oracle's "
-                        f"point {value} is infeasible"
-                    )
-            m = trial.matrix
-            stationary = trial.stationary
-            pins += _pin_constraints(i, value)
+            pin(i, value, _oracle_point, "point")
 
     values: list[Fraction] = [Fraction(0)]
     for i in range(1, m.n + 1):
         hi = m.get(i, 0, 0, 0)
         if not is_finite(hi):
             raise RuntimeError(f"internal error: x{i} is unbounded above")
-        trial = _pin(m, i, hi, max_sweeps, stationary)
-        if not trial.feasible:
-            # approximation artifact: the closed bound is not attained
-            objective = [0] * (m.n + 1)
-            objective[i] = 1
-            system = LinearSystem.from_constraints(source + pins, m.n)
-            hi = fm_tight_bound(system, objective)
-            if hi is None or not is_finite(hi):
-                raise RuntimeError(
-                    f"internal error: oracle gives no finite supremum of "
-                    f"x{i}: {hi}"
-                )
-            trial = _pin(m, i, hi, max_sweeps, stationary)
-            if not trial.feasible:
-                raise RuntimeError(
-                    f"internal error: pinning x{i} to the oracle's "
-                    f"supremum {hi} is infeasible"
-                )
-        m = trial.matrix
-        stationary = trial.stationary
-        pins += _pin_constraints(i, hi)
-        values.append(Fraction(hi))
+        values.append(Fraction(pin(i, hi, _oracle_supremum, "supremum")))
     return tuple(values)
 
 

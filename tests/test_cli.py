@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from quadcsp import cli
 from quadcsp.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_ORACLE_MISMATCH,
     EXIT_USAGE,
     RunConfig,
     main,
@@ -50,6 +52,27 @@ class TestCheck:
         )
         assert code == EXIT_INFEASIBLE
         assert "DISAGREEMENT" not in err
+
+
+class TestOracleDisagreement:
+    """An oracle that contradicts the closure is exit 3 with one
+    ``ORACLE DISAGREEMENT`` line, checked before anything is printed."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "command", ["check", "close", "solve", "bounds", "explain"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["handshake.txt", "negative_cycle.txt"]
+    )
+    def test_exit_3_and_no_stdout(self, monkeypatch, command, fmt, name):
+        real = cli.fm_feasible
+        monkeypatch.setattr(cli, "fm_feasible", lambda s: not real(s))
+        code, out, err = invoke(command, FIXTURES / name, fmt=fmt, oracle=True)
+        assert code == EXIT_ORACLE_MISMATCH
+        assert err.startswith("ORACLE DISAGREEMENT: ")
+        assert err.count("\n") == 1
+        assert out == ""
 
 
 class TestClose:
@@ -232,6 +255,14 @@ class TestMainEntry:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"x1 <= 1\n\xff\xfe\n")
+        assert main(["check", str(f)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_comments_only_file(self, tmp_path, capsys):
         f = tmp_path / "empty.txt"
         f.write_text("# nothing here\n\n")
@@ -295,16 +326,18 @@ def _verdict(command, fmt, stdout):
 
 class TestGoldenV1:
     """stdout and exit code of every command x format x fixture, byte
-    for byte, as recorded in ``golden_v1.json``.  The matrix that close
-    and solve print for an infeasible input is its stop state, which the
-    v1 contract leaves open: there only the exit code and the verdict
-    are recorded."""
+    for byte, as recorded in ``golden_v1.json``; a key is the command,
+    any flags, the format and the fixture.  The matrix that close and
+    solve print for an infeasible input is its stop state, which the v1
+    contract leaves open: there only the exit code and the verdict are
+    recorded."""
 
     @pytest.mark.parametrize("key", sorted(GOLDEN))
-    def test_output_bytes(self, key):
-        command, fmt, name = key.split()
+    def test_output_bytes(self, key, capsys):
+        command, *flags, fmt, name = key.split()
         expected = GOLDEN[key]
-        code, out, err = invoke(command, FIXTURES / name, fmt=fmt)
+        code = main([command, str(FIXTURES / name), "--format", fmt, *flags])
+        out, err = capsys.readouterr()
         assert err == ""
         assert code == expected["exit"]
         if "stdout" in expected:
