@@ -34,15 +34,13 @@ zero normal vector's bound dropping below zero is a derived
 contradiction "0 <= negative": the verdict turns infeasible and the run
 stops at the end of that round.
 
-Arithmetic is exact and runs on plain ints.  On entry the finite class
-bounds are scaled to one common denominator D, the lcm of their
-denominators, and each is stored as the int v * D (+inf stays +inf); on
-exit every finite bound turns back into Fraction(v, D), so callers only
-ever see Fractions.  Sums and comparisons of scaled bounds are those of
-the rationals they stand for.  Two steps leave the integers, and each
-rescales every bound first: halving an odd doubled bound doubles D, and
-an accepted acceleration jump whose values have denominator f (over D)
-multiplies D by f.  The jump's own linear solve stays on Fractions.
+Arithmetic is exact and runs on the matrix's own ints over one common
+denominator (see ``matrix2d``): sums and comparisons of scaled bounds are
+those of the rationals they stand for.  Two steps scale every bound up:
+halving an odd doubled bound doubles the denominator, and an accepted
+acceleration jump whose values have denominator f (over it) multiplies
+it by f.  The jump's own linear solve stays on Fractions.  The result
+divides its denominator and bounds by their gcd.
 
 Every update derives a valid consequence of the input constraints, so the
 result never under-approximates the true tightest bounds.  On octagon
@@ -54,7 +52,6 @@ see exactness_of).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -63,7 +60,7 @@ from typing import Iterable
 
 from .core import INF, Constraint4
 from .lindep import _kernel_basis
-from .matrix2d import Matrix2D, _class_table
+from .matrix2d import Matrix2D, _class_table, _couple, _lower
 
 
 class Subclass(Enum):
@@ -160,10 +157,6 @@ def _sum_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _rescale(bounds: list, factor: int) -> None:
-    bounds[:] = [b if b is INF else b * factor for b in bounds]
-
-
 def _combine(
     bounds: list, seeds: Iterable[int], uses: tuple, trace: dict
 ) -> None:
@@ -181,29 +174,6 @@ def _combine(
                 if cand < bounds[v]:
                     bounds[v] = cand
                     trace[v] = ("sum", u, w)
-
-
-def _couple(bounds: list, couplings: tuple, trace: dict) -> int:
-    """Halve 2e_i - 2e_j into e_i - e_j, or double the other way, in
-    place; recorded in ``trace`` like ``_combine``.  An odd bound is
-    halved after doubling every bound: returns the factor by which the
-    common denominator grew."""
-    factor = 1
-    for c1, c2 in couplings:
-        b2 = bounds[c2]
-        if b2 is not INF and b2 < 2 * bounds[c1]:
-            if b2 & 1:
-                _rescale(bounds, 2)
-                factor *= 2
-                b2 = bounds[c2]
-            bounds[c1] = b2 // 2
-            trace[c1] = ("half", c2)
-        else:
-            b1 = bounds[c1]
-            if b1 is not INF and 2 * b1 < b2:
-                bounds[c2] = 2 * b1
-                trace[c2] = ("double", c1)
-    return factor
 
 
 # The plain iteration need not reach its own fixpoint in finitely many
@@ -367,21 +337,12 @@ def close(
     An input whose zero-vector class is already negative returns
     immediately (sweeps_used = 0), which keeps close idempotent on its
     own outputs despite the early exit on infeasibility.
-
-    The rounds run on ints over one common denominator (see the module
-    docstring); the result's finite bounds are Fractions again.
     """
     layout = _class_table(matrix.n)
     uses = _sum_table(matrix.n)
-    denom = math.lcm(
-        *{b.denominator for b in matrix.bounds if type(b) is not float}
-    )
-    bounds = [
-        INF if type(b) is float else b.numerator * (denom // b.denominator)
-        for b in matrix.bounds
-    ]
+    bounds = matrix.scaled[:]
     trace: dict = {}
-    denom *= _couple(bounds, layout.couplings, trace)
+    denom = matrix.denom * _couple(bounds, layout.couplings, trace)
     # a zero-vector class already negative: no round runs
     feasible = bounds[layout.zero] >= 0
     if lowered is None:
@@ -420,12 +381,7 @@ def close(
                     for cls, value in jump.items()
                     if value < bounds[cls]
                 }
-                factor = math.lcm(*(v.denominator for v in lower.values()))
-                if factor > 1:
-                    _rescale(bounds, factor)
-                    denom *= factor
-                for cls, value in lower.items():
-                    bounds[cls] = value.numerator * (factor // value.denominator)
+                denom *= _lower(bounds, lower.items())
                 delta.update(lower)
                 denom *= _couple(bounds, layout.couplings, trace)
                 delta.update(trace)
@@ -439,9 +395,7 @@ def close(
         and exactness_of(subclass) is Exactness.EXACT
     )
     return ClosureResult(
-        matrix=Matrix2D(
-            matrix.n, [b if b is INF else Fraction(b, denom) for b in bounds]
-        ),
+        matrix=Matrix2D(matrix.n, bounds, denom).reduce(),
         feasible=feasible,
         sweeps_used=sweeps,
         exactness=Exactness.EXACT if exact else Exactness.UPPER_APPROX,

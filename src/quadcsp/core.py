@@ -51,6 +51,18 @@ def format_bound(b: Bound) -> str:
     return str(b)
 
 
+def _literal(text: str, where: str) -> int | Fraction:
+    """The value of a ``k`` or ``p/q`` literal: an int, or a Fraction
+    when there is a denominator.  A zero q is a ParseError naming
+    ``where``."""
+    if "/" not in text:
+        return int(text)
+    p, q = text.split("/")
+    if int(q) == 0:
+        raise ParseError(f"zero denominator in {where!r}")
+    return Fraction(int(p), int(q))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an integer or p/q literal into an exact Fraction."""
     text = text.strip()
@@ -58,7 +70,7 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(
             f"not a rational literal: {text!r} (use integers or p/q)"
         )
-    return Fraction(text)
+    return Fraction(_literal(text, text))
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,7 @@ def make_constraint(
     neg = [v for v, c in net.items() for _ in range(-c) if c < 0]
     i, q = _canonical_pair(pos)
     j, p = _canonical_pair(neg)
-    if not isinstance(m, float):
+    if type(m) is not Fraction and not isinstance(m, float):
         m = Fraction(m)
     return Constraint4(i, j, p, q, m)
 
@@ -174,9 +186,10 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse_side(tokens: list[str], line: str):
-    """One inequality side -> (variable coefficient map, constant)."""
+    """One inequality side -> (variable coefficient map, constant).  The
+    constant stays an int unless a p/q term makes it a Fraction."""
     coeffs: dict[int, int] = {}
-    const = Fraction(0)
+    const: int | Fraction = 0
     pending_sign: int | None = None
     seen_term = False
     for tok in tokens:
@@ -196,7 +209,7 @@ def _parse_side(tokens: list[str], line: str):
                     )
                 coeffs[k] = coeffs.get(k, 0) + sign
             else:
-                const += sign * Fraction(tok)
+                const += sign * _literal(tok, line)
             pending_sign = None
             seen_term = True
     if pending_sign is not None or not seen_term:

@@ -15,11 +15,19 @@ mutual min in both directions.
 Classes default to +inf ("no constraint"), except the zero normal vector,
 which starts at 0 (it bounds the constant functional 0).  The zero class
 going negative is the infeasibility signal consumed by the closure.
+
+A matrix stores each finite bound as a Python int over one common
+denominator ``denom`` (the bound b is stored as b * denom; +inf stays
++inf), so the closure's sums and comparisons run on the ints directly.
+Fractions are made only at the edges: ``get`` and ``bounds`` build one
+per read, and a written value whose denominator ``denom`` lacks scales
+every bound up first.  Halving an odd doubled bound doubles ``denom``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,20 +99,82 @@ def _class_table(n: int) -> _ClassTable:
     )
 
 
+def _exact(b: Bound) -> Fraction | None:
+    """``b`` as a Fraction, or None for +inf; other floats are refused."""
+    if isinstance(b, float):
+        if b != INF:
+            raise ValueError(
+                f"bounds are exact rationals or +inf, got float {b!r}"
+            )
+        return None
+    return b if type(b) is Fraction else Fraction(b)
+
+
+def _rescale(scaled: list, factor: int) -> None:
+    scaled[:] = [b if b is INF else b * factor for b in scaled]
+
+
+def _lower(scaled: list, rows: Iterable[tuple[int, Fraction]]) -> int:
+    """Lower class k to min(current, v) for each (k, v), in place, with v
+    a rational in units of the stored ints (plain rationals on a fresh
+    matrix, whose denominator is 1).  Every bound is first scaled by the
+    lcm of the values' denominators, which is returned: the factor by
+    which the common denominator grows."""
+    rows = list(rows)
+    factor = math.lcm(*(v.denominator for _, v in rows))
+    if factor > 1:
+        _rescale(scaled, factor)
+    for k, v in rows:
+        v = v.numerator * (factor // v.denominator)
+        if v < scaled[k]:
+            scaled[k] = v
+    return factor
+
+
+def _couple(scaled: list, couplings: tuple, trace: dict) -> int:
+    """Halve 2e_i - 2e_j into e_i - e_j, or double the other way, in
+    place; each lowered class maps in ``trace`` to ("half", c2) or
+    ("double", c1).  An odd bound is halved after doubling every bound:
+    returns the factor by which the common denominator grew."""
+    factor = 1
+    for c1, c2 in couplings:
+        b2 = scaled[c2]
+        if b2 is not INF and b2 < 2 * scaled[c1]:
+            if b2 & 1:
+                _rescale(scaled, 2)
+                factor *= 2
+                b2 = scaled[c2]
+            scaled[c1] = b2 // 2
+            trace[c1] = ("half", c2)
+        else:
+            b1 = scaled[c1]
+            if b1 is not INF and 2 * b1 < b2:
+                scaled[c2] = 2 * b1
+                trace[c2] = ("double", c1)
+    return factor
+
+
 class Matrix2D:
     """Mutable bound matrix; confine to one task while mutating.
 
-    ``bounds[k]`` is the bound of class k (see ``_class_table``), a
-    Fraction or +inf.
+    ``scaled[k]`` is the bound of class k (see ``_class_table``) times
+    ``denom``, an int, or +inf; ``bounds`` reads them as Fractions.
     """
 
-    __slots__ = ("n", "bounds")
+    __slots__ = ("n", "scaled", "denom")
 
-    def __init__(self, n: int, bounds: list[Bound]):
+    def __init__(self, n: int, scaled: list, denom: int):
         self.n = n
-        self.bounds = bounds
+        self.scaled = scaled
+        self.denom = denom
 
     # -- access ------------------------------------------------------------
+
+    @property
+    def bounds(self) -> tuple[Bound, ...]:
+        """The bound of each class, a Fraction or +inf (a read-only view)."""
+        d = self.denom
+        return tuple(b if b is INF else Fraction(b, d) for b in self.scaled)
 
     def class_of_cell(self, row: int, col: int) -> int:
         """Index into ``bounds`` of the cell at (row, col)."""
@@ -119,52 +189,55 @@ class Matrix2D:
 
     def get(self, i: int, j: int, p: int, q: int) -> Bound:
         """Bound of (xi - xj) - (xp - xq)."""
-        return self.bounds[self._class_of(i, j, p, q)]
+        b = self.scaled[self._class_of(i, j, p, q)]
+        return b if b is INF else Fraction(b, self.denom)
 
     def set_min(self, i: int, j: int, p: int, q: int, b: Bound) -> "Matrix2D":
         """Lower the cell's class to min(current, b).  Returns self."""
         k = self._class_of(i, j, p, q)
-        if isinstance(b, float):
-            if b != INF:
-                raise ValueError(
-                    f"bounds are exact rationals or +inf, got float {b!r}"
-                )
-            return self
-        b = Fraction(b)
-        if b < self.bounds[k]:
-            self.bounds[k] = b
+        b = _exact(b)
+        if b is not None and b * self.denom < self.scaled[k]:
+            self.denom *= _lower(self.scaled, [(k, b * self.denom)])
         return self
 
     def copy(self) -> "Matrix2D":
-        return Matrix2D(self.n, self.bounds[:])
+        return Matrix2D(self.n, self.scaled[:], self.denom)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix2D):
             return NotImplemented
-        return self.n == other.n and self.bounds == other.bounds
+        # INF times a denominator stays INF
+        return self.n == other.n and [
+            b * other.denom for b in self.scaled
+        ] == [b * self.denom for b in other.scaled]
 
     def __repr__(self) -> str:
-        finite = sum(1 for v in self.bounds if not isinstance(v, float))
+        finite = sum(1 for v in self.scaled if v is not INF)
         return f"Matrix2D(n={self.n}, finite_classes={finite})"
 
     # -- coherence -----------------------------------------------------------
 
     def normalize(self) -> "Matrix2D":
         """Enforce the doubled-class coupling in place; returns self."""
-        bounds = self.bounds
-        for c1, c2 in _class_table(self.n).couplings:
-            b1, b2 = bounds[c1], bounds[c2]
-            if not isinstance(b2, float) and b2 < 2 * b1:
-                bounds[c1] = b2 / 2
-            elif not isinstance(b1, float) and 2 * b1 < b2:
-                bounds[c2] = 2 * b1
+        self.denom *= _couple(self.scaled, _class_table(self.n).couplings, {})
+        return self
+
+    def reduce(self) -> "Matrix2D":
+        """Divide ``denom`` and every finite bound by their gcd in place,
+        so that ``denom`` is the lcm of the bounds' reduced denominators;
+        returns self."""
+        if self.denom > 1:
+            g = math.gcd(self.denom, *(b for b in self.scaled if b is not INF))
+            if g > 1:
+                self.denom //= g
+                self.scaled = [b if b is INF else b // g for b in self.scaled]
         return self
 
     # -- feasibility signal ---------------------------------------------------
 
     def has_negative_zero_cell(self) -> bool:
         """True when the zero-normal-vector class is < 0 (infeasible)."""
-        return self.bounds[_class_table(self.n).zero] < 0
+        return self.scaled[_class_table(self.n).zero] < 0
 
 
 def new_matrix(n: int) -> Matrix2D:
@@ -176,16 +249,21 @@ def new_matrix(n: int) -> Matrix2D:
             f"n={n} exceeds the supported maximum of {MAX_VARIABLES}"
         )
     table = _class_table(n)
-    bounds: list[Bound] = [INF] * len(table.vectors)
-    bounds[table.zero] = Fraction(0)
-    return Matrix2D(n, bounds)
+    scaled: list = [INF] * len(table.vectors)
+    scaled[table.zero] = 0
+    return Matrix2D(n, scaled, 1)
 
 
 def load(constraints: Iterable[Constraint4], n: int) -> Matrix2D:
     """Store each constraint's bound (duplicates keep the min), normalized."""
     m = new_matrix(n)
+    rows = []
     for c in constraints:
-        m.set_min(c.i, c.j, c.p, c.q, c.m)
+        k = m._class_of(c.i, c.j, c.p, c.q)
+        b = _exact(c.m)
+        if b is not None:
+            rows.append((k, b))
+    m.denom *= _lower(m.scaled, rows)
     return m.normalize()
 
 
@@ -201,13 +279,14 @@ def from_dbm(dbm: Sequence[Sequence[Bound]]) -> Matrix2D:
         raise ValueError("DBM must be square")
     if size < 2:
         raise ValueError("DBM needs at least the x0 row and one variable")
-    n = size - 1
-    m = new_matrix(n)
-    for k in range(size):
-        for l in range(size):
-            b = dbm[k][l]
-            if is_finite(b):
-                m.set_min(l, k, 0, 0, b)
+    m = new_matrix(size - 1)
+    rows = [
+        (m._class_of(l, k, 0, 0), _exact(b))
+        for k in range(size)
+        for l, b in enumerate(dbm[k])
+        if is_finite(b)
+    ]
+    m.denom *= _lower(m.scaled, rows)
     return m.normalize()
 
 
@@ -259,16 +338,15 @@ def from_json_obj(obj: dict) -> Matrix2D:
     ("inf" lowers nothing)."""
     n = obj["n"]
     m = new_matrix(n)
-    np1 = n + 1
-    size = np1 * np1
+    size = (n + 1) ** 2
+    rows = []
     for r, c, text in obj["cells"]:
         if not (0 <= r < size and 0 <= c < size):
             raise ValueError(f"cell ({r}, {c}) out of range for n={n}")
         if text == "inf":
             continue
-        p, q = divmod(r, np1)
-        i, j = divmod(c, np1)
-        m.set_min(i, j, p, q, parse_rational(text))
+        rows.append((m.class_of_cell(r, c), parse_rational(text)))
+    m.denom *= _lower(m.scaled, rows)
     return m
 
 

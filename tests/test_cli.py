@@ -263,6 +263,16 @@ class TestMainEntry:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "zero.txt"
+        f.write_text("x1 <= 2\nx1 - x2 <= 1/0\n")
+        assert main(["solve", str(f)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero denominator" in err and "Traceback" not in err
+        assert captured.out == ""
+
     def test_comments_only_file(self, tmp_path, capsys):
         f = tmp_path / "empty.txt"
         f.write_text("# nothing here\n\n")

@@ -1,12 +1,12 @@
 """Closure arithmetic: integer rounds over one common denominator.
 
-``close`` scales the matrix to ints on entry and back to Fractions on
-exit; halving an odd cell and accepting a fixpoint jump with a new
-denominator rescale it on the way.  These tests check each rescaling
-path cell for cell (against the Fraction-only ``reference_close`` where
-that reaches stationarity, else against values pinned from the Fraction
-closure), the Fraction type of every result cell on every exit, and a
-hypothesis-drawn differential against ``reference_close``.
+``close`` runs on the matrix's own ints; halving an odd cell and
+accepting a fixpoint jump with a new denominator rescale them on the
+way.  These tests check each rescaling path cell for cell (against the
+Fraction-only ``reference_close`` where that reaches stationarity, else
+against values pinned from the Fraction closure), that every result
+cell reads as a Fraction on every exit, and a hypothesis-drawn
+differential against ``reference_close``.
 """
 
 from fractions import Fraction

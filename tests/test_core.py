@@ -36,6 +36,8 @@ class TestParseAtomic:
     def test_full_four_variable_constraint(self):
         c = parse_atomic("x1 + x2 - x3 - x4 <= 4", 4)
         assert c == Constraint4(i=1, j=3, p=4, q=2, m=Fraction(4))
+        # Fraction(4) == 4: only the type shows an int bound leaking out
+        assert type(c.m) is Fraction
 
     def test_rational_bound_and_geq(self):
         c = parse_atomic("x2 - x1 >= -3/2", 2)
@@ -48,6 +50,8 @@ class TestParseAtomic:
     def test_constants_on_both_sides(self):
         c = parse_atomic("x1 + 2 <= 5 - 1/2", 1)
         assert c == Constraint4(i=1, j=0, p=0, q=0, m=Fraction(5, 2))
+        c = parse_atomic("x1 + 2 - 1/2 <= 5 + 1/3 - 1", 1)
+        assert c == Constraint4(i=1, j=0, p=0, q=0, m=Fraction(17, 6))
 
     def test_repeated_variable_doubles(self):
         c = parse_atomic("x1 + x1 <= 4", 1)
@@ -180,3 +184,13 @@ def test_bound_formatting():
     assert parse_rational("-3/2") == Fraction(-3, 2)
     with pytest.raises(ParseError):
         parse_rational("1.5")
+
+
+def test_zero_denominator_is_a_parse_error():
+    for text in ("1/0", "-7/0", "0/0"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_rational(text)
+    with pytest.raises(ParseError, match="zero denominator in 'x1 <= 1/0'"):
+        parse_atomic("x1 <= 1/0", 1)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_constraints("x1 <= 2\n3/0 + x2 >= x1\n")

@@ -1,11 +1,13 @@
 """2D bound matrix: construction, normalization, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from quadcsp.core import INF, normal_vector, parse_constraints
+from quadcsp.closure import classify, close
+from quadcsp.core import INF, make_constraint, normal_vector, parse_constraints
 from quadcsp.matrix2d import (
     from_dbm,
     from_json,
@@ -229,6 +231,71 @@ class TestAccess:
             m.set_min(1, 0, 0, 0, -INF)
         m.set_min(1, 0, 0, 0, INF)  # no-op, allowed
         assert m.get(1, 0, 0, 0) == INF
+
+
+class TestScaledStorage:
+    """Bounds are stored as ints over one common denominator ``denom``;
+    every read is a Fraction of the stored rational."""
+
+    def test_equal_over_different_denominators(self):
+        a = new_matrix(2).set_min(1, 0, 0, 0, Fraction(1, 3))
+        a.set_min(1, 0, 0, 0, Fraction(0)).set_min(2, 1, 0, 0, Fraction(5))
+        b = new_matrix(2).set_min(2, 1, 0, 0, Fraction(5))
+        b.set_min(1, 0, 0, 0, Fraction(0))
+        assert a.denom == 3 and b.denom == 1
+        assert a == b and b == a
+        b.set_min(2, 1, 0, 0, Fraction(14, 3))
+        assert a != b
+
+    def test_set_min_with_a_new_denominator_reads_back_exactly(self):
+        m = new_matrix(2).set_min(1, 0, 0, 0, Fraction(1, 2))
+        m.set_min(2, 0, 0, 0, Fraction(-7, 3))
+        m.set_min(1, 2, 0, 0, Fraction(5, 4))
+        assert m.denom == 12
+        for cell, want in (
+            ((1, 0, 0, 0), Fraction(1, 2)),
+            ((2, 0, 0, 0), Fraction(-7, 3)),
+            ((1, 2, 0, 0), Fraction(5, 4)),
+            ((0, 0, 0, 0), Fraction(0)),
+        ):
+            got = m.get(*cell)
+            assert got == want and type(got) is Fraction
+        assert m.get(0, 1, 0, 0) == INF
+
+    def test_close_stores_the_lcm_of_the_reduced_denominators(self):
+        rng = random.Random(71)
+        cases = [parse_constraints("x1 <= 1/3\nx1 <= 0\n- x1 <= 5")]
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            cases.append((
+                [
+                    make_constraint(
+                        [rng.randint(0, n) for _ in range(2)],
+                        [rng.randint(0, n) for _ in range(2)],
+                        Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6])),
+                    )
+                    for _ in range(rng.randint(1, 2 * n + 2))
+                ],
+                n,
+            ))
+        for cs, n in cases:
+            result = close(load(cs, n), subclass=classify(cs))
+            finite = [b for b in result.matrix.bounds if b != INF]
+            assert result.matrix.denom == math.lcm(
+                *(b.denominator for b in finite)
+            )
+        # x1 <= 1/3 is dropped for x1 <= 0, so the loaded thirds go
+        assert close(load(*cases[0])).matrix.denom == 1
+
+    def test_bounds_is_read_only(self):
+        m = load(*seven_system())
+        view = m.bounds
+        assert isinstance(view, tuple)
+        with pytest.raises(TypeError):
+            m.bounds[0] = Fraction(1)
+        with pytest.raises(AttributeError):
+            m.bounds = list(view)
+        assert m.bounds == view
 
 
 class TestToConstraints:
