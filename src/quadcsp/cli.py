@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands over a constraint file (one constraint per line, '#'
-comments, variables x1..xn inferred from the highest index used):
+comments, variables x1..xn inferred from the highest index written):
 
     check      feasibility verdict (exit 0 feasible / 1 infeasible)
     close      tightened bound matrix (JSON or row/col/value lines)
@@ -14,8 +14,14 @@ Each command builds one result document, a dict that ``--format json``
 prints as it is; ``--format text`` renders the same document as lines.
 
 Exit codes: 0 ok/feasible, 1 infeasible, 2 parse or configuration error
-(including an input file that is not UTF-8), 3 verdict disagreement
-between closure and the elimination oracle in --oracle mode.
+(including an input file that is not UTF-8), 3 the solver's own checks
+disagree (the closure and the elimination oracle in --oracle mode, or an
+internal error), 4 a work limit was reached before a verdict: the
+closure stopped at its round cap (--max-sweeps, or the default cap)
+without a contradiction, or the elimination oracle exceeded its row
+budget.  Apart from argparse's usage errors, every exit above 1 prints
+one line on stderr (``ORACLE DISAGREEMENT: ...`` for 3 under --oracle,
+``error: ...`` otherwise) and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 from . import __version__
-from .closure import classify, close, exactness_of
+from .closure import ClosureResult, classify, close, exactness_of
 from .core import (
     Constraint4,
     ParseError,
@@ -51,6 +57,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_MISMATCH = 3
+EXIT_LIMIT = 4
 
 #: Subcommand name -> help text, in ``--help`` order.
 COMMANDS = {
@@ -102,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-sweeps", type=int, default=None, metavar="N",
-            help="override the cap on closure rounds",
+            help="override the cap on closure rounds; a run stopped "
+            "by the cap without a contradiction has no verdict (exit 4)",
         )
         if name == "solve":
             p.add_argument(
@@ -142,6 +150,17 @@ def _domains(domains) -> list[list[str]] | None:
     return [[format_bound(lo), format_bound(hi)] for lo, hi in domains]
 
 
+def _verdict(closed: ClosureResult) -> bool:
+    """The closure's verdict: a contradiction, or a stationary closure.
+    A run stopped at its round cap without either has none."""
+    if closed.feasible and not closed.stationary:
+        raise ResourceLimitError(
+            f"closure stopped at its round cap ({closed.sweeps_used}) "
+            "without a verdict (see --max-sweeps)"
+        )
+    return closed.feasible
+
+
 def _document(cfg: RunConfig, constraints, n) -> dict:
     """The result of one command: the document ``--format json`` prints."""
     sub = classify(constraints)
@@ -160,7 +179,7 @@ def _document(cfg: RunConfig, constraints, n) -> dict:
             constraints, n, cfg.witness_anyway, max_sweeps=cfg.max_sweeps
         )
         return {
-            "feasible": report.feasible,
+            "feasible": _verdict(report.closed),
             "subclass": sub.value,
             "exactness": report.closed.exactness.value,
             "sweeps_used": report.closed.sweeps_used,
@@ -173,7 +192,7 @@ def _document(cfg: RunConfig, constraints, n) -> dict:
     closed = close(
         load(constraints, n), subclass=sub, max_sweeps=cfg.max_sweeps
     )
-    feasible = closed.feasible
+    feasible = _verdict(closed)
     if cfg.command == "check":
         return {"feasible": feasible}
     if cfg.command == "close":
@@ -305,7 +324,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         return run(cfg)
-    except (ParseError, SizeLimitError, ResourceLimitError, OSError) as exc:
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except RuntimeError as exc:  # the solver's own checks disagree
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ORACLE_MISMATCH
+    except (ParseError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
         print(

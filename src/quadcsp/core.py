@@ -94,13 +94,27 @@ class Constraint4:
         return format_constraint(self)
 
 
-def _canonical_pair(indices: Iterable[VarId]) -> tuple[VarId, VarId]:
-    """Order a 2-slot index multiset: nonzero ascending, zeros last."""
-    nonzero = sorted(v for v in indices if v != 0)
-    if len(nonzero) > 2:
-        raise ValueError(f"more than two variable occurrences: {nonzero}")
-    nonzero += [0] * (2 - len(nonzero))
-    return nonzero[0], nonzero[1]
+def _canonical(occ: dict[VarId, int], m: Bound) -> Constraint4:
+    """``sum(c * xv for v, c in occ.items()) <= m`` in canonical form:
+    each side's occurrences ascending, padded with x0, positives in
+    (i, q) and negatives in (j, p).  ValueError when a side keeps more
+    than two occurrences."""
+    pos: list[VarId] = []
+    neg: list[VarId] = []
+    for v, c in occ.items():
+        if c > 0:
+            pos += [v] * c
+        elif c < 0:
+            neg += [v] * -c
+    for side in (pos, neg):
+        side.sort()
+        if len(side) > 2:
+            raise ValueError(f"more than two variable occurrences: {side}")
+    pos += (0, 0)
+    neg += (0, 0)
+    if type(m) is not Fraction and not isinstance(m, float):
+        m = Fraction(m)
+    return Constraint4(pos[0], neg[0], neg[1], pos[1], m)
 
 
 def make_constraint(
@@ -114,18 +128,14 @@ def make_constraint(
     per functional; slot order is deterministic so equal constraints
     compare equal.
     """
-    net: dict[int, int] = {}
+    occ: dict[VarId, int] = {}
     for v in positives:
-        net[v] = net.get(v, 0) + 1
+        if v:
+            occ[v] = occ.get(v, 0) + 1
     for v in negatives:
-        net[v] = net.get(v, 0) - 1
-    pos = [v for v, c in net.items() for _ in range(c) if c > 0]
-    neg = [v for v, c in net.items() for _ in range(-c) if c < 0]
-    i, q = _canonical_pair(pos)
-    j, p = _canonical_pair(neg)
-    if type(m) is not Fraction and not isinstance(m, float):
-        m = Fraction(m)
-    return Constraint4(i, j, p, q, m)
+        if v:
+            occ[v] = occ.get(v, 0) - 1
+    return _canonical(occ, m)
 
 
 def complement(c: Constraint4) -> Constraint4:
@@ -185,36 +195,57 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_side(tokens: list[str], line: str):
-    """One inequality side -> (variable coefficient map, constant).  The
-    constant stays an int unless a p/q term makes it a Fraction."""
-    coeffs: dict[int, int] = {}
-    const: int | Fraction = 0
-    pending_sign: int | None = None
-    seen_term = False
+def _parse_line(line: str, n: int | None) -> tuple[Constraint4, VarId]:
+    """A stripped, comment-free, nonempty line -> (its constraint, the
+    largest index written, 0 if none).  One token pass moves variables
+    left into one occurrence map and constants right into one bound (an
+    int unless a p/q term makes it a Fraction).  Cancelled variables
+    still count as written, also for the range check (none if n is None).
+    """
+    tokens = _tokenize(line)
+    if tokens.count("<=") + tokens.count(">=") != 1:
+        raise ParseError(f"expected exactly one <= or >= in {line!r}")
+    occ: dict[VarId, int] = {}
+    bound: int | Fraction = 0
+    side = -1 if ">=" in tokens else 1  # the left side's sign; flips at the relation
+    sign = 0  # the pending sign of the next term, 0 when there is none
+    seen_term = False  # on the current side
     for tok in tokens:
-        if tok in ("+", "-"):
-            if pending_sign is not None:
+        if tok == "+" or tok == "-":
+            if sign:
                 raise ParseError(f"two consecutive signs in {line!r}")
-            pending_sign = -1 if tok == "-" else 1
+            sign = -1 if tok == "-" else 1
+        elif tok == "<=" or tok == ">=":
+            if sign or not seen_term:
+                raise ParseError(f"empty or incomplete side in {line!r}")
+            side = -side
+            seen_term = False
         else:
-            if seen_term and pending_sign is None:
+            if seen_term and not sign:
                 raise ParseError(f"missing operator before {tok!r} in {line!r}")
-            sign = 1 if pending_sign is None else pending_sign
-            if tok.startswith("x"):
+            coeff = -side if sign < 0 else side
+            if tok[0] == "x":
                 k = int(tok[1:])
                 if k == 0:
-                    raise ParseError(
-                        f"x0 is reserved and cannot appear in {line!r}"
-                    )
-                coeffs[k] = coeffs.get(k, 0) + sign
+                    raise ParseError(f"x0 is reserved and cannot appear in {line!r}")
+                occ[k] = occ.get(k, 0) + coeff
             else:
-                const += sign * _literal(tok, line)
-            pending_sign = None
+                bound -= coeff * _literal(tok, line)
+            sign = 0
             seen_term = True
-    if pending_sign is not None or not seen_term:
+    if sign or not seen_term:
         raise ParseError(f"empty or incomplete side in {line!r}")
-    return coeffs, const
+    if n is not None:
+        for k in occ:
+            if k > n:
+                raise ParseError(f"variable x{k} out of range (n={n}) in {line!r}")
+    try:
+        c = _canonical(occ, bound)
+    except ValueError:
+        raise ParseError(
+            f"more than two positive or two negative occurrences in {line!r}"
+        ) from None
+    return c, max(occ, default=0)
 
 
 def parse_atomic(text: str, n: int) -> Constraint4:
@@ -227,40 +258,7 @@ def parse_atomic(text: str, n: int) -> Constraint4:
     line = text.split("#", 1)[0].strip()
     if not line:
         raise ParseError("empty constraint")
-    tokens = _tokenize(line)
-    rel_positions = [k for k, t in enumerate(tokens) if t in ("<=", ">=")]
-    if len(rel_positions) != 1:
-        raise ParseError(f"expected exactly one <= or >= in {line!r}")
-    split = rel_positions[0]
-    lhs, rel, rhs = tokens[:split], tokens[split], tokens[split + 1 :]
-    lcoef, lconst = _parse_side(lhs, line)
-    rcoef, rconst = _parse_side(rhs, line)
-
-    # move variables left, constants right; flip >= into <=
-    net: dict[int, int] = {}
-    for k, v in lcoef.items():
-        net[k] = net.get(k, 0) + v
-    for k, v in rcoef.items():
-        net[k] = net.get(k, 0) - v
-    bound = rconst - lconst
-    if rel == ">=":
-        net = {k: -v for k, v in net.items()}
-        bound = -bound
-
-    positives: list[int] = []
-    negatives: list[int] = []
-    for k, v in net.items():
-        if k > n:
-            raise ParseError(f"variable x{k} out of range (n={n}) in {line!r}")
-        if v > 0:
-            positives += [k] * v
-        elif v < 0:
-            negatives += [k] * (-v)
-    if len(positives) > 2 or len(negatives) > 2:
-        raise ParseError(
-            f"more than two positive or two negative occurrences in {line!r}"
-        )
-    return make_constraint(positives, negatives, bound)
+    return _parse_line(line, n)[0]
 
 
 def parse_constraints(
@@ -268,19 +266,19 @@ def parse_constraints(
 ) -> tuple[list[Constraint4], int]:
     """Parse a constraint file body (one constraint per line, '#' comments).
 
-    When ``n`` is None it is inferred as the largest variable index seen
-    (at least 1).  Returns the constraint list and the n used.
+    When ``n`` is None it is inferred as the largest variable index
+    written (at least 1), also when that variable's occurrences cancel.
+    Returns the constraint list and the n used.
     """
-    lines = []
+    constraints = []
+    top = 1
     for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if n is None:
-        seen = [int(m) for line in lines for m in re.findall(r"x(\d+)", line)]
-        n = max(seen, default=1)
-        n = max(n, 1)
-    return [parse_atomic(line, n) for line in lines], n
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            c, k = _parse_line(line, n)
+            constraints.append(c)
+            top = max(top, k)
+    return constraints, top if n is None else n
 
 
 def format_constraint(c: Constraint4) -> str:

@@ -25,7 +25,9 @@ DEFAULT_ROW_CAP = 20_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Elimination exceeded its row budget; the answer is unknown."""
+    """A work limit was reached before the answer: elimination's row
+    budget here, the closure's round cap in the CLI; the answer is
+    unknown."""
 
 
 def _canonical(coeffs: Sequence[Fraction], bound: Fraction) -> Row:
@@ -143,7 +145,9 @@ def rows_solution(
             else:
                 lo = limit if lo is None else max(lo, limit)
         if lo is not None and hi is not None and lo > hi:
-            raise AssertionError("back-substitution interval is empty")
+            raise RuntimeError(
+                "internal error: back-substitution interval is empty"
+            )
         if lo is not None:
             values[v] = lo
         elif hi is not None:

@@ -33,7 +33,7 @@ from .core import (
     satisfies,
 )
 from .fmoracle import LinearSystem, fm_solution, fm_tight_bound
-from .matrix2d import Matrix2D, load, to_constraints
+from .matrix2d import Matrix2D, load
 
 Interval = tuple[Bound, Bound]
 
@@ -117,35 +117,28 @@ def _oracle_supremum(system: LinearSystem, i: int) -> Fraction:
 
 
 def extract_witness(
-    closed: Matrix2D,
+    result: ClosureResult,
+    constraints: Sequence[Constraint4],
     pin_unbounded_to_zero: bool = False,
     max_sweeps: int | None = None,
-    constraints: Sequence[Constraint4] | None = None,
-    stationary: bool = False,
 ) -> tuple[Fraction, ...]:
     """A valuation satisfying every finite cell of a closed matrix.
 
-    Requires a feasible matrix, and a bounded one unless
-    ``pin_unbounded_to_zero`` is set, in which case each unbounded
-    variable is first pinned to the point of its interval closest to 0
-    (oracle-assisted when the closed interval overshoots).
-
-    ``constraints`` are the constraints ``closed`` was closed from; when
-    given, oracle fallbacks run on them plus the pins applied so far
-    rather than on every finite class of ``closed``.  ``stationary``
-    says that ``closed`` is a stationary closure result
-    (``ClosureResult.stationary``), so the first pin re-closes from its
-    pinned cells only.
+    ``result`` is the closure of ``constraints``.  It must be feasible,
+    and bounded unless ``pin_unbounded_to_zero`` is set, in which case
+    each unbounded variable is first pinned to the point of its interval
+    closest to 0 (oracle-assisted when the closed interval overshoots).
+    When ``result`` is stationary the first pin re-closes from its pinned
+    cells only.  Oracle fallbacks run on ``constraints`` plus the pins so
+    far: the polyhedron of the pinned matrix, in far fewer rows than its
+    finite classes.
 
     Raises RuntimeError when an oracle fallback does not yield an
     attainable value, which would be an internal error.
     """
-    if closed.has_negative_zero_cell():
+    if not result.feasible:
         raise ValueError("cannot extract a witness from an infeasible matrix")
-    m = closed.copy()
-    # Oracle fallbacks run on these plus the pins so far: the polyhedron
-    # of the pinned matrix, in far fewer rows than its finite classes.
-    source = to_constraints(closed) if constraints is None else list(constraints)
+    m, stationary = result.matrix, result.stationary
     pins: list[tuple[int, Fraction]] = []
 
     def pin(
@@ -161,7 +154,7 @@ def extract_witness(
         nonlocal m, stationary
         trial = _pin(m, i, value, max_sweeps, stationary)
         if not trial.feasible:
-            rows = [*source, *(c for p in pins for c in _pin_constraints(*p))]
+            rows = [*constraints, *(c for p in pins for c in _pin_constraints(*p))]
             value = fallback(LinearSystem.from_constraints(rows, m.n), i)
             trial = _pin(m, i, value, max_sweeps, stationary)
             if not trial.feasible:
@@ -207,9 +200,11 @@ def solve(
 ) -> SolveReport:
     """Load, close, and when feasible reduce domains and extract a witness.
 
-    Witnesses are produced for bounded systems (always) and unbounded
-    ones only with ``witness_anyway``; every witness is verified against
-    the original constraints by exact substitution before being returned.
+    Witnesses are produced from stationary closures only: for bounded
+    systems always, for unbounded ones only with ``witness_anyway``.  A
+    closure stopped at its round cap (``max_sweeps``) gives none.  Every
+    witness is verified against the original constraints by exact
+    substitution before being returned.
     """
     matrix = load(constraints, n)
     closed = close(matrix, subclass=classify(constraints), max_sweeps=max_sweeps)
@@ -219,13 +214,9 @@ def solve(
         )
     domains = reduce_domains(closed.matrix)
     witness = None
-    if is_bounded(closed.matrix) or witness_anyway:
+    if closed.stationary and (is_bounded(closed.matrix) or witness_anyway):
         witness = extract_witness(
-            closed.matrix,
-            pin_unbounded_to_zero=witness_anyway,
-            max_sweeps=max_sweeps,
-            constraints=constraints,
-            stationary=closed.stationary,
+            closed, constraints, witness_anyway, max_sweeps=max_sweeps
         )
         bad = [c for c in constraints if not satisfies(c, witness)]
         if bad:

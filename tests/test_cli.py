@@ -9,6 +9,7 @@ import pytest
 from quadcsp import cli
 from quadcsp.cli import (
     EXIT_INFEASIBLE,
+    EXIT_LIMIT,
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
     EXIT_USAGE,
@@ -16,6 +17,8 @@ from quadcsp.cli import (
     main,
     run,
 )
+import quadcsp.solver as solver_module
+from quadcsp.fmoracle import ResourceLimitError
 from quadcsp.matrix2d import from_json_obj, to_json_obj
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -283,6 +286,65 @@ class TestMainEntry:
         f = tmp_path / "ok.txt"
         f.write_text("x1 - x2 <= 1\nx2 - x1 <= -2\n")
         assert main(["check", str(f), "--max-sweeps", "50"]) == EXIT_INFEASIBLE
+
+
+# Infeasible, but one closure round finds no contradiction: a run capped
+# there has no verdict.
+CAPPED = """x2 + x3 <= 2
+x3 - x1 - x2 <= 3
+- x1 - x3 <= 6
+- x3 - x4 <= -8
+x3 + x4 - x2 <= -2
+x4 + x4 - x3 <= -3
+x2 - x1 <= 0
+"""
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+class TestNoVerdict:
+    """Exit 4: a work limit reached before a verdict.  Exit 3 also covers
+    the solver's internal errors."""
+
+    @pytest.mark.parametrize(
+        "command", ["check", "close", "solve", "bounds", "explain"]
+    )
+    def test_round_cap_without_contradiction(self, command, tmp_path, capsys):
+        f = tmp_path / "capped.txt"
+        f.write_text(CAPPED)
+        assert main([command, str(f), "--max-sweeps", "1"]) == EXIT_LIMIT
+        assert "round cap" in assert_one_error_line(capsys)
+        assert main([command, str(f), "--max-sweeps", "50"]) == EXIT_INFEASIBLE
+
+    def test_round_cap_comes_before_oracle(self, tmp_path, capsys):
+        f = tmp_path / "capped.txt"
+        f.write_text(CAPPED)
+        argv = ["check", str(f), "--max-sweeps", "1", "--oracle"]
+        assert main(argv) == EXIT_LIMIT
+        assert_one_error_line(capsys)
+
+    def test_oracle_row_budget(self, monkeypatch, capsys):
+        def over_budget(system):
+            raise ResourceLimitError("elimination exceeds 20000 rows")
+
+        monkeypatch.setattr(cli, "fm_feasible", over_budget)
+        path = str(FIXTURES / "handshake.txt")
+        assert main(["check", path, "--oracle"]) == EXIT_LIMIT
+        assert "20000 rows" in assert_one_error_line(capsys)
+
+    def test_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(solver_module, "satisfies", lambda c, nu: False)
+        path = str(FIXTURES / "handshake.txt")
+        assert main(["solve", path]) == EXIT_ORACLE_MISMATCH
+        assert "internal error: witness violates" in assert_one_error_line(
+            capsys
+        )
 
 
 class TestFixtureCorpus:

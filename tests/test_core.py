@@ -88,6 +88,93 @@ class TestParseAtomic:
             parse_atomic("x5 <= 1", 4)
 
 
+# Recorded from the parser before its single-pass rewrite: each line's
+# exact canonical fields, or the exact ParseError text.  When a line has
+# several faults the first of these wins: the tokenizer, the relation
+# count, the left side (its tokens in order, then completeness), the
+# right side, the range against n (first variable written), the
+# occurrence count.
+PARSE_TABLE = [
+    ("x1 - x2 - x3 <= 8", 4, (1, 2, 3, 0, Fraction(8))),
+    ("x2 >= 5", 4, (0, 2, 0, 0, Fraction(-5))),
+    ("x1 + x2 - x3 - x4 <= 4", 4, (1, 3, 4, 2, Fraction(4))),
+    ("- x1 - x2 >= -3/2", 2, (1, 0, 0, 2, Fraction(3, 2))),
+    ("x1 + 2 >= 5 - x2 + 1/3", 2, (0, 1, 2, 0, Fraction(-10, 3))),
+    ("3 - x1 >= x2 - 7", 2, (1, 0, 0, 2, Fraction(10))),
+    ("x1 + x1 <= 4", 1, (1, 0, 0, 1, Fraction(4))),
+    ("x2 + x2 - x1 - x1 <= 0", 2, (2, 1, 1, 2, Fraction(0))),
+    ("x3 + x2 - x3 <= 1", 3, (2, 0, 0, 0, Fraction(1))),
+    ("x1 - x1 <= 2", 1, (0, 0, 0, 0, Fraction(2))),
+    ("2/4 <= x1", 1, (0, 1, 0, 0, Fraction(-1, 2))),
+    ("x2 - x1 <= 4/2", 2, (2, 1, 0, 0, Fraction(2))),
+    ("x4 - x3 >= x2 - x1 + 0", 4, (2, 1, 4, 3, Fraction(0))),
+    ("+ x1 <= + 3  # note", 1, (1, 0, 0, 0, Fraction(3))),
+    ("0 <= -1", 1, (0, 0, 0, 0, Fraction(-1))),
+    ("x1 + y <= 3", 2, "syntax error at 'y <= 3' in 'x1 + y <= 3'"),
+    ("x1 <= 2 <= 1.5", 2, "syntax error at '.5' in 'x1 <= 2 <= 1.5'"),
+    ("x1 <= 2 <= 3", 2, "expected exactly one <= or >= in 'x1 <= 2 <= 3'"),
+    ("x1 + 2", 2, "expected exactly one <= or >= in 'x1 + 2'"),
+    ("x1 + + x2 <= 2 >= 1", 2,
+     "expected exactly one <= or >= in 'x1 + + x2 <= 2 >= 1'"),
+    ("x1 + - x2 <= 1", 2, "two consecutive signs in 'x1 + - x2 <= 1'"),
+    ("x1 x2 <= 1", 2, "missing operator before 'x2' in 'x1 x2 <= 1'"),
+    ("x1 3 <= 1", 2, "missing operator before '3' in 'x1 3 <= 1'"),
+    ("x0 <= 1", 2, "x0 is reserved and cannot appear in 'x0 <= 1'"),
+    ("x1 <= 1/0", 2, "zero denominator in 'x1 <= 1/0'"),
+    ("1/0 + x0 <= 1", 2, "zero denominator in '1/0 + x0 <= 1'"),
+    ("x1 x2 <= 1/0", 2, "missing operator before 'x2' in 'x1 x2 <= 1/0'"),
+    ("x1 + <= x0", 2, "empty or incomplete side in 'x1 + <= x0'"),
+    ("x1 <= x2 x3", 3, "missing operator before 'x3' in 'x1 <= x2 x3'"),
+    ("x1 <= -", 2, "empty or incomplete side in 'x1 <= -'"),
+    ("x1 >=", 2, "empty or incomplete side in 'x1 >='"),
+    ("# only a comment", 2, "empty constraint"),
+    ("x9 <= -", 4, "empty or incomplete side in 'x9 <= -'"),
+    ("x1 + x2 + x7 <= 1", 4,
+     "variable x7 out of range (n=4) in 'x1 + x2 + x7 <= 1'"),
+    ("x6 + x5 <= 1", 4, "variable x6 out of range (n=4) in 'x6 + x5 <= 1'"),
+    ("x1 + x5 - x5 <= 2", 4,
+     "variable x5 out of range (n=4) in 'x1 + x5 - x5 <= 2'"),
+    ("x1 + x2 + x3 <= 1", 4,
+     "more than two positive or two negative occurrences in "
+     "'x1 + x2 + x3 <= 1'"),
+    ("x1 + x2 + x3 >= 1", 4,
+     "more than two positive or two negative occurrences in "
+     "'x1 + x2 + x3 >= 1'"),
+]
+
+
+@pytest.mark.parametrize("text,n,want", PARSE_TABLE)
+def test_parse_table(text, n, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as info:
+            parse_atomic(text, n)
+        assert str(info.value) == want
+    else:
+        c = parse_atomic(text, n)
+        assert (c.i, c.j, c.p, c.q, c.m) == want
+        assert type(c.m) is Fraction
+
+
+@pytest.mark.parametrize(
+    "positives,negatives,want",
+    [
+        ([3, 1, 2], [], "[1, 2, 3]"),
+        ([], [3, 0, 1, 2], "[1, 2, 3]"),
+    ],
+)
+def test_make_constraint_overfull_side(positives, negatives, want):
+    with pytest.raises(ValueError) as info:
+        make_constraint(positives, negatives, 1)
+    assert str(info.value) == f"more than two variable occurrences: {want}"
+
+
+def test_make_constraint_cancels_and_ignores_x0():
+    c = make_constraint([1, 2, 3, 0], [1, 2, 3, 4, 0], 1)
+    assert c == Constraint4(0, 4, 0, 0, Fraction(1))
+    assert type(c.m) is Fraction
+    assert make_constraint([2], [], INF).m is INF
+
+
 class TestComplement:
     def test_permutes_indices(self):
         c = Constraint4(1, 2, 3, 4, Fraction(0))
@@ -139,6 +226,29 @@ class TestParseConstraints:
     def test_empty_text_gives_minimum_n(self):
         cs, n = parse_constraints("# nothing\n")
         assert cs == [] and n == 1
+
+    def test_cancelled_variable_still_sets_n(self):
+        cs, n = parse_constraints("x1 + x5 - x5 <= 2\nx3 - x3 <= 0  # x9\n")
+        assert n == 5
+        assert cs == [
+            Constraint4(1, 0, 0, 0, Fraction(2)),
+            Constraint4(0, 0, 0, 0, Fraction(0)),
+        ]
+
+    def test_explicit_n_names_first_out_of_range_variable(self):
+        with pytest.raises(ParseError) as info:
+            parse_constraints("x1 <= 1\nx7 + x6 <= 2", n=5)
+        assert str(info.value) == (
+            "variable x7 out of range (n=5) in 'x7 + x6 <= 2'"
+        )
+
+    def test_first_bad_line_wins(self):
+        with pytest.raises(ParseError) as info:
+            parse_constraints("x1 + x2 + x3 <= 1\nx1 + y <= 2")
+        assert str(info.value) == (
+            "more than two positive or two negative occurrences in "
+            "'x1 + x2 + x3 <= 1'"
+        )
 
 
 # --- canonical form properties --------------------------------------------

@@ -1,5 +1,6 @@
 """Pipeline: domains, boundedness, witness extraction, full solve."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -68,13 +69,13 @@ class TestExtractWitness:
     def test_seven_system_with_floor(self):
         floors = [make_constraint([], [i], Fraction(100)) for i in range(1, 5)]
         result, cs, n = closed_matrix(SEVEN, extra=floors)
-        nu = extract_witness(result.matrix)
+        nu = extract_witness(result, cs)
         assert nu[0] == 0
         assert all(satisfies(c, nu) for c in cs)
 
     def test_pinned_variable_witness(self):
-        result, _, _ = closed_matrix("x1 <= 4\nx1 >= 4")
-        assert extract_witness(result.matrix) == (Fraction(0), Fraction(4))
+        result, cs, _ = closed_matrix("x1 <= 4\nx1 >= 4")
+        assert extract_witness(result, cs) == (Fraction(0), Fraction(4))
 
     def test_first_pin_hits_closed_upper_bound(self):
         rng = random.Random(71)
@@ -88,7 +89,7 @@ class TestExtractWitness:
             if not fm_feasible(sys):
                 continue
             result = close(load(cs, n), subclass=classify(cs))
-            nu = extract_witness(result.matrix)
+            nu = extract_witness(result, cs)
             assert all(satisfies(c, nu) for c in cs)
             objective = [0] * (n + 1)
             objective[1] = 1
@@ -100,16 +101,16 @@ class TestExtractWitness:
         cs, n = parse_constraints("x1 - x2 <= 1\nx2 - x1 <= -2")
         result = close(load(cs, n))
         with pytest.raises(ValueError):
-            extract_witness(result.matrix)
+            extract_witness(result, cs)
 
     def test_rejects_unbounded_by_default(self):
-        result, _, _ = closed_matrix("x1 <= 4")
+        result, cs, _ = closed_matrix("x1 <= 4")
         with pytest.raises(ValueError):
-            extract_witness(result.matrix)
+            extract_witness(result, cs)
 
     def test_pin_unbounded_to_zero(self):
         result, cs, n = closed_matrix("x1 - x2 <= 3\nx1 >= 5", n=2)
-        nu = extract_witness(result.matrix, pin_unbounded_to_zero=True)
+        nu = extract_witness(result, cs, pin_unbounded_to_zero=True)
         assert all(satisfies(c, nu) for c in cs)
 
     def test_seeded_pins_match_full_pins(self):
@@ -126,8 +127,8 @@ class TestExtractWitness:
             if not result.feasible:
                 continue
             assert result.stationary
-            seeded = extract_witness(result.matrix, stationary=True)
-            assert seeded == extract_witness(result.matrix)
+            full = dataclasses.replace(result, stationary=False)
+            assert extract_witness(result, cs) == extract_witness(full, cs)
             done += 1
 
 
@@ -299,6 +300,16 @@ class TestSolve:
                     else lo == -INF
                 )
             done += 1
+
+    def test_capped_closure_gives_no_witness(self):
+        # Two rounds close this system; one leaves it not stationary, so
+        # its matrix is not pinned for a witness.
+        cs, n = parse_constraints(SEVEN)
+        cs += box_constraints(n, 10)
+        assert solve(cs, n).witness is not None
+        report = solve(cs, n, max_sweeps=1)
+        assert not report.closed.stationary
+        assert report.witness is None
 
     def test_determinism(self):
         cs, n = parse_constraints(SEVEN)
