@@ -3,12 +3,14 @@
 Variables range over the rationals; x0 is pinned to zero so single
 variables, plain differences, sums and three-variable forms are all the
 same shape with x0 in the unused slots.  The solver stores bounds in a
-pair-indexed matrix, tightens it by iterated min-plus composition, and
-checks its verdicts against independent positive-linear-dependence and
-Fourier-Motzkin oracles.
+pair-indexed matrix and tightens it by iterated min-plus composition.
+Fourier-Motzkin elimination is its independent oracle: it cross-checks
+verdicts on request and backs witness pins the closure cannot settle.
+An infeasible verdict is explained by a simple hypercycle of negative
+weight, found by enumerating positively dependent constraint subsets.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     INF,
@@ -20,7 +22,6 @@ from .core import (
     complement,
     format_bound,
     format_constraint,
-    functional_value,
     make_constraint,
     normal_vector,
     parse_atomic,
@@ -29,12 +30,9 @@ from .core import (
 )
 from .matrix2d import (
     Matrix2D,
-    from_dbm,
-    from_json,
     load,
     new_matrix,
     to_constraints,
-    to_json,
 )
 from .closure import (
     ClosureResult,
@@ -46,17 +44,10 @@ from .closure import (
     sweep_cap,
 )
 from .lindep import (
-    HyperPath,
-    NotSimpleError,
     SizeLimitError,
     WeightedFamily,
     cycle_weight,
     enumerate_simple_hcycles,
-    is_simple,
-    min_weight_bruteforce,
-    positive_dependence,
-    simple_hyperpaths,
-    unique_coeffs,
 )
 from .fmoracle import (
     LinearSystem,
@@ -79,11 +70,9 @@ __all__ = [
     "ClosureResult",
     "Constraint4",
     "Exactness",
-    "HyperPath",
     "LinearSystem",
     "Matrix2D",
     "NormalVector",
-    "NotSimpleError",
     "ParseError",
     "ResourceLimitError",
     "SizeLimitError",
@@ -103,25 +92,16 @@ __all__ = [
     "fm_tight_bound",
     "format_bound",
     "format_constraint",
-    "from_dbm",
-    "from_json",
-    "functional_value",
     "is_bounded",
-    "is_simple",
     "load",
     "make_constraint",
-    "min_weight_bruteforce",
     "new_matrix",
     "normal_vector",
     "parse_atomic",
     "parse_constraints",
-    "positive_dependence",
     "reduce_domains",
     "satisfies",
-    "simple_hyperpaths",
     "solve",
     "sweep_cap",
     "to_constraints",
-    "to_json",
-    "unique_coeffs",
 ]

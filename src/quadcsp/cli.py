@@ -22,6 +22,10 @@ without a contradiction, or the elimination oracle exceeded its row
 budget.  Apart from argparse's usage errors, every exit above 1 prints
 one line on stderr (``ORACLE DISAGREEMENT: ...`` for 3 under --oracle,
 ``error: ...`` otherwise) and nothing on stdout.
+
+A reader that closes stdout early (``quadcsp close big.txt | head``) is
+not an error: the rest of the output is dropped, nothing is printed on
+stderr, and the exit code is the command's own, 0 or 1.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence, TextIO
@@ -284,11 +289,20 @@ def run(
                 file=err,
             )
             return EXIT_ORACLE_MISMATCH
-    if cfg.fmt == "json":
-        print(json.dumps(doc, separators=(",", ":")), file=out)
-    else:
-        for line in _text(cfg, doc):
-            print(line, file=out)
+    try:
+        if cfg.fmt == "json":
+            print(json.dumps(doc, separators=(",", ":")), file=out)
+        else:
+            for line in _text(cfg, doc):
+                print(line, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early; the verdict stands.  What is
+        # still buffered goes to devnull, so that the interpreter's final
+        # flush does not fail again and print "Exception ignored".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 

@@ -369,10 +369,13 @@ def close(
         for cls, term in trace.items():
             recent[cls] = (sweeps, term)
         if sweeps >= _ACCEL_START and sweeps % _ACCEL_EVERY == 0:
+            # the policy: each class lowered in the last 4 rounds, with
+            # its last term, so that a feedback loop spread over several
+            # rounds (three halvings, say) is solved whole
             eqs = {
                 cls: term
                 for cls, (step, term) in recent.items()
-                if step > sweeps - 2
+                if step > sweeps - 4
             }
             jump = _policy_fixpoint(eqs, bounds)
             if jump:

@@ -63,16 +63,6 @@ def _literal(text: str, where: str) -> int | Fraction:
     return Fraction(int(p), int(q))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an integer or p/q literal into an exact Fraction."""
-    text = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", text):
-        raise ParseError(
-            f"not a rational literal: {text!r} (use integers or p/q)"
-        )
-    return Fraction(_literal(text, text))
-
-
 @dataclass(frozen=True)
 class Constraint4:
     """One canonical constraint (xi - xj) - (xp - xq) <= m.
@@ -157,15 +147,11 @@ def normal_vector(c: Constraint4, n: int) -> NormalVector:
     return tuple(v)
 
 
-def functional_value(c: Constraint4, valuation: Sequence[Fraction]) -> Fraction:
-    """(vi - vj) - (vp - vq) for a valuation indexed x0..xn."""
-    v = valuation
-    return (v[c.i] - v[c.j]) - (v[c.p] - v[c.q])
-
-
 def satisfies(c: Constraint4, valuation: Sequence[Fraction]) -> bool:
-    """Exact substitution check of one constraint."""
-    return functional_value(c, valuation) <= c.m
+    """Exact substitution check of one constraint: (vi - vj) - (vp - vq)
+    <= m for a valuation indexed x0..xn."""
+    v = valuation
+    return (v[c.i] - v[c.j]) - (v[c.p] - v[c.q]) <= c.m
 
 
 # --- text format ----------------------------------------------------------

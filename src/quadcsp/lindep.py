@@ -1,21 +1,26 @@
-"""Positive linear dependence and brute-force hypercycle enumeration.
+"""Simple hypercycles of a constraint list: ``explain``'s enumerator.
 
 A family of distinct nonzero vectors is positively dependent when some
 strictly positive combination of it vanishes; it is simple when no proper
-subfamily is.  Simple families have a unique vanishing combination up to
-scale, which this module normalizes to coprime positive integers.
+subfamily is.  Constraint sets map to these families through their
+normal vectors, and a simple positively dependent subset is a simple
+hypercycle.  ``explain`` consumes the enumeration lazily and stops at the
+first cycle of negative weight; ``closure`` reuses the exact kernel.
 
-Constraint sets map to these families through their normal vectors: a
-subset generating a vanishing positive combination is a hypercycle, and a
-hypercycle through the complement of a target constraint is a hyperpath
-of that target.  Everything here enumerates subsets exhaustively, within
-desk-scale caps; the tests use it as a ground-truth oracle.
-
-``explain`` consumes the hypercycle enumeration lazily and stops at the
-first cycle of negative weight.  Before any exact dependence test, a
-subset must pass a sign filter: a positive combination can vanish only
-if every coordinate some member touches has both a positive and a
-negative entry among the members.
+Subsets are walked by ascending size and every superset of a cycle
+already found is skipped, so each subset that gets a dependence test has
+no positively dependent proper subfamily.  Such a subset is positively
+dependent only if its kernel is one line spanned by a strictly positive
+vector: were x > 0 and y two independent kernel vectors, moving from x
+along -y (or y) until the first coefficient reaches zero would give a
+positive vanishing combination of a proper subfamily of at least two
+members.  That subfamily holds a smaller simple cycle, found before this
+subset and pruning it.  The test
+is therefore one exact kernel computation, with no search; the line's
+coprime positive integer generator is the cycle's unique coefficients.
+Before it, a subset must pass a sign filter: a positive combination can
+vanish only if every coordinate some member touches has both a positive
+and a negative entry among the members.
 """
 
 from __future__ import annotations
@@ -31,13 +36,11 @@ from .core import (
     Constraint4,
     INF,
     NormalVector,
-    complement,
     is_finite,
     normal_vector,
 )
-from .fmoracle import rows_solution
 
-#: Default subset-size / constraint-list caps for the enumerators.
+#: Default subset-size / constraint-list caps of the enumeration.
 DEFAULT_MAX_SIZE = 6
 DEFAULT_MAX_CONSTRAINTS = 16
 
@@ -48,10 +51,6 @@ class SizeLimitError(ValueError):
     """Family or constraint list exceeds the configured enumeration cap."""
 
 
-class NotSimpleError(ValueError):
-    """unique_coeffs was given a family without a unique positive solution."""
-
-
 @dataclass(frozen=True)
 class WeightedFamily:
     """Constraints with positive coefficients (a hypercycle when their
@@ -59,19 +58,6 @@ class WeightedFamily:
 
     members: tuple[Constraint4, ...]
     coeffs: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class HyperPath:
-    """A hypercycle through the complement of ``target``, normalized so the
-    complement carries coefficient 1; ``path.coeffs`` are the remaining
-    rational ratios."""
-
-    path: WeightedFamily
-    target: Constraint4
-
-    def weight(self, bounds: Mapping[Constraint4, Bound] | None = None) -> Bound:
-        return cycle_weight(self.path, bounds)
 
 
 # --- exact kernel computation ----------------------------------------------
@@ -122,103 +108,6 @@ def _to_coprime_ints(values: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _validate_family(vectors: Sequence[Sequence], max_family: int) -> list[Vector]:
-    if len(vectors) > max_family:
-        raise SizeLimitError(
-            f"family of {len(vectors)} exceeds the cap of {max_family}"
-        )
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    if not vecs:
-        raise ValueError("empty family")
-    width = len(vecs[0])
-    if any(len(v) != width for v in vecs):
-        raise ValueError("family vectors must share one dimension")
-    if any(not any(v) for v in vecs):
-        raise ValueError("zero vectors cannot be family members")
-    if len(set(vecs)) != len(vecs):
-        raise ValueError("family vectors must be distinct")
-    return vecs
-
-
-def _positive_point(vecs: Sequence[Sequence]) -> tuple[Fraction, ...] | None:
-    """Some strictly positive vanishing combination, or None."""
-    basis = _kernel_basis(vecs)
-    if not basis:
-        return None
-    if len(basis) == 1:
-        b = basis[0]
-        if any(x == 0 for x in b):
-            return None
-        if b[0] < 0:
-            b = tuple(-x for x in b)
-        if any(x < 0 for x in b):
-            return None
-        return b
-    # Search the kernel for a point with every coefficient >= 1:
-    # lam = sum_d t_d * basis_d, constraints -(B t)_k <= -1.
-    r = len(vecs)
-    d = len(basis)
-    rows = []
-    for k in range(r):
-        rows.append(
-            (tuple(-basis[dd][k] for dd in range(d)), Fraction(-1))
-        )
-    t = rows_solution(rows, d)
-    if t is None:
-        return None
-    return tuple(
-        sum((t[dd] * basis[dd][k] for dd in range(d)), Fraction(0))
-        for k in range(r)
-    )
-
-
-def positive_dependence(
-    vectors: Sequence[Sequence], max_family: int = 12
-) -> tuple[int, ...] | None:
-    """Strictly positive coefficients cancelling the family, or None.
-
-    Coefficients are scaled to coprime positive integers.  The family
-    must consist of distinct nonzero vectors of one dimension.
-    """
-    vecs = _validate_family(vectors, max_family)
-    point = _positive_point(vecs)
-    if point is None:
-        return None
-    return _to_coprime_ints(point)
-
-
-def is_simple(vectors: Sequence[Sequence], max_family: int = 12) -> bool:
-    """No proper subfamily is positively dependent (subset enumeration)."""
-    vecs = _validate_family(vectors, max_family)
-    r = len(vecs)
-    for size in range(2, r):
-        for subset in itertools.combinations(range(r), size):
-            if _positive_point([vecs[k] for k in subset]) is not None:
-                return False
-    return True
-
-
-def unique_coeffs(
-    vectors: Sequence[Sequence], max_family: int = 12
-) -> tuple[int, ...]:
-    """The minimal positive-integer solution of a simple dependent family.
-
-    Simple families have a one-dimensional kernel spanned by a strictly
-    positive vector; anything else raises NotSimpleError.
-    """
-    vecs = _validate_family(vectors, max_family)
-    basis = _kernel_basis(vecs)
-    if len(basis) == 1:
-        b = basis[0]
-        if b[0] < 0:
-            b = tuple(-x for x in b)
-        if all(x > 0 for x in b):
-            return _to_coprime_ints(b)
-    if _positive_point(vecs) is None:
-        raise NotSimpleError("family is not positively dependent")
-    raise NotSimpleError("family is positively dependent but not simple")
-
-
 # --- constraint-level enumeration -------------------------------------------
 
 
@@ -245,8 +134,9 @@ def _simple_dependent_subsets(
     Ascending subset size, then ``itertools.combinations`` order, with
     minimal-dependent pruning: a dependent set found at size k certifies
     every superset as non-simple, so each surviving candidate needs
-    exactly one dependence test, and a dependent survivor is simple by
-    construction.  Subsets whose members do not meet every touched
+    exactly one dependence test, a kernel that is one strictly positive
+    line (see the module docstring), and a dependent survivor is simple
+    by construction.  Subsets whose members do not meet every touched
     coordinate with both signs cannot vanish and skip that test; since
     only dependent subsets enter the pruning list, the filter never
     changes what is yielded.
@@ -268,10 +158,15 @@ def _simple_dependent_subsets(
             vecs = [vectors[k] for k in subset]
             if len(set(vecs)) != len(vecs):
                 continue
-            point = _positive_point(vecs)
-            if point is not None:
+            basis = _kernel_basis(vecs)
+            if len(basis) != 1:
+                continue
+            line = basis[0]
+            if line[0] < 0:
+                line = tuple(-x for x in line)
+            if all(x > 0 for x in line):
                 minimal.append(frozenset(subset))
-                yield subset, _to_coprime_ints(point)
+                yield subset, _to_coprime_ints(line)
 
 
 def _check_list_cap(constraints: Sequence[Constraint4], cap: int) -> None:
@@ -308,43 +203,6 @@ def enumerate_simple_hcycles(
     )
 
 
-def simple_hyperpaths(
-    target: Constraint4,
-    constraints: Sequence[Constraint4],
-    max_size: int = DEFAULT_MAX_SIZE,
-    max_constraints: int = DEFAULT_MAX_CONSTRAINTS,
-) -> list[HyperPath]:
-    """All simple hyperpaths of ``target`` through the given constraints.
-
-    A subset P qualifies when P plus the target's complement forms a
-    simple hypercycle; coefficients are normalized so the complement
-    carries 1.
-    """
-    _check_list_cap(constraints, max_constraints)
-    bar = complement(target)
-    extended = list(constraints) + [bar]
-    n = _constraints_n(extended)
-    vectors = [normal_vector(c, n) for c in extended]
-    bar_index = len(constraints)
-    out = []
-    for subset, coeffs in _simple_dependent_subsets(vectors, max_size + 1):
-        if bar_index not in subset:
-            continue
-        lam = dict(zip(subset, coeffs))
-        scale = Fraction(lam[bar_index])
-        members = tuple(extended[k] for k in subset if k != bar_index)
-        ratios = tuple(
-            Fraction(lam[k]) / scale for k in subset if k != bar_index
-        )
-        out.append(
-            HyperPath(
-                path=WeightedFamily(members=members, coeffs=ratios),
-                target=target,
-            )
-        )
-    return out
-
-
 def cycle_weight(
     family: WeightedFamily,
     bounds: Mapping[Constraint4, Bound] | None = None,
@@ -362,22 +220,3 @@ def cycle_weight(
             return INF
         total += lam * b
     return total
-
-
-def min_weight_bruteforce(
-    target: Constraint4,
-    constraints: Sequence[Constraint4],
-    max_size: int = DEFAULT_MAX_SIZE,
-    max_constraints: int = DEFAULT_MAX_CONSTRAINTS,
-) -> Bound:
-    """Minimum weight over all simple hyperpaths of ``target``.
-
-    This is the ground-truth tightest derivable upper bound on the
-    target's functional; +inf when no hyperpath exists within the caps.
-    """
-    best: Bound = INF
-    for hp in simple_hyperpaths(target, constraints, max_size, max_constraints):
-        w = hp.weight()
-        if w < best:
-            best = w
-    return best

@@ -26,21 +26,18 @@ every bound up first.  Halving an odd doubled bound doubles ``denom``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     INF,
     Bound,
     Constraint4,
     format_bound,
-    is_finite,
     make_constraint,
-    parse_rational,
 )
 
 #: Hard cap on n.  A matrix stores one bound per class (3,191 at
@@ -233,12 +230,6 @@ class Matrix2D:
                 self.scaled = [b if b is INF else b // g for b in self.scaled]
         return self
 
-    # -- feasibility signal ---------------------------------------------------
-
-    def has_negative_zero_cell(self) -> bool:
-        """True when the zero-normal-vector class is < 0 (infeasible)."""
-        return self.scaled[_class_table(self.n).zero] < 0
-
 
 def new_matrix(n: int) -> Matrix2D:
     """Unconstrained matrix: +inf everywhere, 0 on the zero class."""
@@ -263,29 +254,6 @@ def load(constraints: Iterable[Constraint4], n: int) -> Matrix2D:
         b = _exact(c.m)
         if b is not None:
             rows.append((k, b))
-    m.denom *= _lower(m.scaled, rows)
-    return m.normalize()
-
-
-def from_dbm(dbm: Sequence[Sequence[Bound]]) -> Matrix2D:
-    """Lift a difference-bound matrix: entry (k, l) bounds x_l - x_k.
-
-    The input must be square with n+1 rows including the x0 row/column.
-    Finite entries become two-variable constraints; a negative diagonal
-    entry lands in the zero-vector class and flags infeasibility later.
-    """
-    size = len(dbm)
-    if any(len(row) != size for row in dbm):
-        raise ValueError("DBM must be square")
-    if size < 2:
-        raise ValueError("DBM needs at least the x0 row and one variable")
-    m = new_matrix(size - 1)
-    rows = [
-        (m._class_of(l, k, 0, 0), _exact(b))
-        for k in range(size)
-        for l, b in enumerate(dbm[k])
-        if is_finite(b)
-    ]
     m.denom *= _lower(m.scaled, rows)
     return m.normalize()
 
@@ -330,29 +298,3 @@ def to_json_obj(m: Matrix2D) -> dict:
             if texts[k] is not None
         ],
     }
-
-
-def from_json_obj(obj: dict) -> Matrix2D:
-    """The matrix of a ``to_json_obj`` document.  Each listed cell
-    lowers its class, so a class reads the minimum of its listed cells
-    ("inf" lowers nothing)."""
-    n = obj["n"]
-    m = new_matrix(n)
-    size = (n + 1) ** 2
-    rows = []
-    for r, c, text in obj["cells"]:
-        if not (0 <= r < size and 0 <= c < size):
-            raise ValueError(f"cell ({r}, {c}) out of range for n={n}")
-        if text == "inf":
-            continue
-        rows.append((m.class_of_cell(r, c), parse_rational(text)))
-    m.denom *= _lower(m.scaled, rows)
-    return m
-
-
-def to_json(m: Matrix2D) -> str:
-    return json.dumps(to_json_obj(m), separators=(",", ":"))
-
-
-def from_json(text: str) -> Matrix2D:
-    return from_json_obj(json.loads(text))

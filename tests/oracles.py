@@ -2,8 +2,8 @@
 
 These deliberately avoid all quadcsp internals so that agreement is
 meaningful: plain Floyd-Warshall / Bellman-Ford over Fraction weights,
-a subset-by-subset hypercycle walk built only on the public
-single-family tests ``positive_dependence`` and ``is_simple``, and the
+a subset-by-subset hypercycle walk built only on the single-family
+tests ``positive_dependence`` and ``is_simple`` of ``reference``, and the
 cell grid of a bound matrix read through its public ``get``.
 """
 
@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from quadcsp.core import normal_vector
-from quadcsp.lindep import is_simple, positive_dependence
+from reference import is_simple, positive_dependence
 
 INF = float("inf")
 

@@ -1,0 +1,301 @@
+"""Reference code kept for the tests, outside the package.
+
+None of this runs on a CLI path.  The tests use it as ground truth or as
+a convenient way to build inputs:
+
+- single-family positive dependence decided by a general search:
+  ``positive_dependence``, ``is_simple`` and ``unique_coeffs``, whose
+  ``_positive_point`` runs the elimination oracle's LP whenever the
+  kernel has dimension 2 or more;
+- hyperpaths of a target constraint and their least weight
+  (``simple_hyperpaths``, ``min_weight_bruteforce``);
+- matrices built from a difference-bound matrix or read back from the
+  JSON of ``to_json_obj`` (``from_dbm``, ``from_json``), and the
+  infeasibility signal of a matrix (``has_negative_zero_cell``);
+- ``parse_rational``, the reader of a single ``k`` or ``p/q`` literal.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+from quadcsp.core import (
+    INF,
+    Bound,
+    Constraint4,
+    ParseError,
+    _literal,
+    complement,
+    is_finite,
+    normal_vector,
+)
+from quadcsp.fmoracle import rows_solution
+from quadcsp.lindep import (
+    DEFAULT_MAX_CONSTRAINTS,
+    DEFAULT_MAX_SIZE,
+    SizeLimitError,
+    Vector,
+    WeightedFamily,
+    _check_list_cap,
+    _constraints_n,
+    _kernel_basis,
+    _simple_dependent_subsets,
+    _to_coprime_ints,
+    cycle_weight,
+)
+from quadcsp.matrix2d import (
+    Matrix2D,
+    _class_table,
+    _exact,
+    _lower,
+    new_matrix,
+    to_json_obj,
+)
+
+
+# --- positive dependence of one family --------------------------------------
+
+
+class NotSimpleError(ValueError):
+    """unique_coeffs was given a family without a unique positive solution."""
+
+
+def _validate_family(vectors: Sequence[Sequence], max_family: int) -> list[Vector]:
+    if len(vectors) > max_family:
+        raise SizeLimitError(
+            f"family of {len(vectors)} exceeds the cap of {max_family}"
+        )
+    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
+    if not vecs:
+        raise ValueError("empty family")
+    width = len(vecs[0])
+    if any(len(v) != width for v in vecs):
+        raise ValueError("family vectors must share one dimension")
+    if any(not any(v) for v in vecs):
+        raise ValueError("zero vectors cannot be family members")
+    if len(set(vecs)) != len(vecs):
+        raise ValueError("family vectors must be distinct")
+    return vecs
+
+
+def _positive_point(vecs: Sequence[Sequence]) -> tuple[Fraction, ...] | None:
+    """Some strictly positive vanishing combination, or None."""
+    basis = _kernel_basis(vecs)
+    if not basis:
+        return None
+    if len(basis) == 1:
+        b = basis[0]
+        if any(x == 0 for x in b):
+            return None
+        if b[0] < 0:
+            b = tuple(-x for x in b)
+        if any(x < 0 for x in b):
+            return None
+        return b
+    # Search the kernel for a point with every coefficient >= 1:
+    # lam = sum_d t_d * basis_d, constraints -(B t)_k <= -1.
+    r = len(vecs)
+    d = len(basis)
+    rows = []
+    for k in range(r):
+        rows.append(
+            (tuple(-basis[dd][k] for dd in range(d)), Fraction(-1))
+        )
+    t = rows_solution(rows, d)
+    if t is None:
+        return None
+    return tuple(
+        sum((t[dd] * basis[dd][k] for dd in range(d)), Fraction(0))
+        for k in range(r)
+    )
+
+
+def positive_dependence(
+    vectors: Sequence[Sequence], max_family: int = 12
+) -> tuple[int, ...] | None:
+    """Strictly positive coefficients cancelling the family, or None.
+
+    Coefficients are scaled to coprime positive integers.  The family
+    must consist of distinct nonzero vectors of one dimension.
+    """
+    vecs = _validate_family(vectors, max_family)
+    point = _positive_point(vecs)
+    if point is None:
+        return None
+    return _to_coprime_ints(point)
+
+
+def is_simple(vectors: Sequence[Sequence], max_family: int = 12) -> bool:
+    """No proper subfamily is positively dependent (subset enumeration)."""
+    vecs = _validate_family(vectors, max_family)
+    r = len(vecs)
+    for size in range(2, r):
+        for subset in itertools.combinations(range(r), size):
+            if _positive_point([vecs[k] for k in subset]) is not None:
+                return False
+    return True
+
+
+def unique_coeffs(
+    vectors: Sequence[Sequence], max_family: int = 12
+) -> tuple[int, ...]:
+    """The minimal positive-integer solution of a simple dependent family.
+
+    Simple families have a one-dimensional kernel spanned by a strictly
+    positive vector; anything else raises NotSimpleError.
+    """
+    vecs = _validate_family(vectors, max_family)
+    basis = _kernel_basis(vecs)
+    if len(basis) == 1:
+        b = basis[0]
+        if b[0] < 0:
+            b = tuple(-x for x in b)
+        if all(x > 0 for x in b):
+            return _to_coprime_ints(b)
+    if _positive_point(vecs) is None:
+        raise NotSimpleError("family is not positively dependent")
+    raise NotSimpleError("family is positively dependent but not simple")
+
+
+# --- hyperpaths ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HyperPath:
+    """A hypercycle through the complement of ``target``, normalized so the
+    complement carries coefficient 1; ``path.coeffs`` are the remaining
+    rational ratios."""
+
+    path: WeightedFamily
+    target: Constraint4
+
+    def weight(self, bounds: Mapping[Constraint4, Bound] | None = None) -> Bound:
+        return cycle_weight(self.path, bounds)
+
+
+def simple_hyperpaths(
+    target: Constraint4,
+    constraints: Sequence[Constraint4],
+    max_size: int = DEFAULT_MAX_SIZE,
+    max_constraints: int = DEFAULT_MAX_CONSTRAINTS,
+) -> list[HyperPath]:
+    """All simple hyperpaths of ``target`` through the given constraints.
+
+    A subset P qualifies when P plus the target's complement forms a
+    simple hypercycle; coefficients are normalized so the complement
+    carries 1.
+    """
+    _check_list_cap(constraints, max_constraints)
+    bar = complement(target)
+    extended = list(constraints) + [bar]
+    n = _constraints_n(extended)
+    vectors = [normal_vector(c, n) for c in extended]
+    bar_index = len(constraints)
+    out = []
+    for subset, coeffs in _simple_dependent_subsets(vectors, max_size + 1):
+        if bar_index not in subset:
+            continue
+        lam = dict(zip(subset, coeffs))
+        scale = Fraction(lam[bar_index])
+        members = tuple(extended[k] for k in subset if k != bar_index)
+        ratios = tuple(
+            Fraction(lam[k]) / scale for k in subset if k != bar_index
+        )
+        out.append(
+            HyperPath(
+                path=WeightedFamily(members=members, coeffs=ratios),
+                target=target,
+            )
+        )
+    return out
+
+
+def min_weight_bruteforce(
+    target: Constraint4,
+    constraints: Sequence[Constraint4],
+    max_size: int = DEFAULT_MAX_SIZE,
+    max_constraints: int = DEFAULT_MAX_CONSTRAINTS,
+) -> Bound:
+    """Minimum weight over all simple hyperpaths of ``target``.
+
+    This is the ground-truth tightest derivable upper bound on the
+    target's functional; +inf when no hyperpath exists within the caps.
+    """
+    best: Bound = INF
+    for hp in simple_hyperpaths(target, constraints, max_size, max_constraints):
+        w = hp.weight()
+        if w < best:
+            best = w
+    return best
+
+
+# --- matrices and literals ----------------------------------------------------
+
+
+def from_dbm(dbm: Sequence[Sequence[Bound]]) -> Matrix2D:
+    """Lift a difference-bound matrix: entry (k, l) bounds x_l - x_k.
+
+    The input must be square with n+1 rows including the x0 row/column.
+    Finite entries become two-variable constraints; a negative diagonal
+    entry lands in the zero-vector class and flags infeasibility later.
+    """
+    size = len(dbm)
+    if any(len(row) != size for row in dbm):
+        raise ValueError("DBM must be square")
+    if size < 2:
+        raise ValueError("DBM needs at least the x0 row and one variable")
+    m = new_matrix(size - 1)
+    rows = [
+        (m._class_of(l, k, 0, 0), _exact(b))
+        for k in range(size)
+        for l, b in enumerate(dbm[k])
+        if is_finite(b)
+    ]
+    m.denom *= _lower(m.scaled, rows)
+    return m.normalize()
+
+
+def from_json_obj(obj: dict) -> Matrix2D:
+    """The matrix of a ``to_json_obj`` document.  Each listed cell
+    lowers its class, so a class reads the minimum of its listed cells
+    ("inf" lowers nothing)."""
+    n = obj["n"]
+    m = new_matrix(n)
+    size = (n + 1) ** 2
+    rows = []
+    for r, c, text in obj["cells"]:
+        if not (0 <= r < size and 0 <= c < size):
+            raise ValueError(f"cell ({r}, {c}) out of range for n={n}")
+        if text == "inf":
+            continue
+        rows.append((m.class_of_cell(r, c), parse_rational(text)))
+    m.denom *= _lower(m.scaled, rows)
+    return m
+
+
+def to_json(m: Matrix2D) -> str:
+    return json.dumps(to_json_obj(m), separators=(",", ":"))
+
+
+def from_json(text: str) -> Matrix2D:
+    return from_json_obj(json.loads(text))
+
+
+def has_negative_zero_cell(m: Matrix2D) -> bool:
+    """True when the zero-normal-vector class is < 0 (infeasible)."""
+    return m.scaled[_class_table(m.n).zero] < 0
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an integer or p/q literal into an exact Fraction."""
+    text = text.strip()
+    if not re.fullmatch(r"-?\d+(/\d+)?", text):
+        raise ParseError(
+            f"not a rational literal: {text!r} (use integers or p/q)"
+        )
+    return Fraction(_literal(text, text))

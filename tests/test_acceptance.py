@@ -15,15 +15,8 @@ from fractions import Fraction
 from quadcsp.closure import Exactness, classify, close, exactness_of, sweep_cap
 from quadcsp.core import normal_vector, parse_constraints, satisfies
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_tight_bound
-from quadcsp.lindep import (
-    cycle_weight,
-    enumerate_simple_hcycles,
-    is_simple,
-    min_weight_bruteforce,
-    positive_dependence,
-    unique_coeffs,
-)
-from quadcsp.matrix2d import _class_table, from_dbm, load
+from quadcsp.lindep import cycle_weight, enumerate_simple_hcycles
+from quadcsp.matrix2d import _class_table, load
 from quadcsp.solver import solve
 from gen import (
     box_constraints,
@@ -36,6 +29,13 @@ from gen import (
 )
 from oracles import cell_grid, floyd_warshall
 from oracles import satisfies as matrix_satisfies
+from reference import (
+    from_dbm,
+    is_simple,
+    min_weight_bruteforce,
+    positive_dependence,
+    unique_coeffs,
+)
 
 SEVEN = """
 x1 - x2 - x3 <= 3

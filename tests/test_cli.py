@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,9 +20,11 @@ from quadcsp.cli import (
     main,
     run,
 )
+import quadcsp
 import quadcsp.solver as solver_module
 from quadcsp.fmoracle import ResourceLimitError
-from quadcsp.matrix2d import from_json_obj, to_json_obj
+from quadcsp.matrix2d import to_json_obj
+from reference import from_json_obj
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -345,6 +350,38 @@ class TestNoVerdict:
         assert "internal error: witness violates" in assert_one_error_line(
             capsys
         )
+
+
+class TestStdoutClosed:
+    """A reader that closes stdout early is not an error: nothing on
+    stderr, and the exit code of the verdict."""
+
+    @pytest.mark.parametrize(
+        "command, fixture, code",
+        [
+            ("close", "mixed_feasible.txt", EXIT_OK),
+            ("explain", "negative_cycle.txt", EXIT_INFEASIBLE),
+        ],
+    )
+    def test_no_reader(self, command, fixture, code):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the first write: it fails
+        paths = [str(Path(quadcsp.__file__).resolve().parent.parent)]
+        paths += filter(None, [os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        argv = [
+            sys.executable, "-m", "quadcsp.cli", command,
+            str(FIXTURES / fixture), "--format", "json",
+        ]
+        try:
+            proc = subprocess.run(
+                argv, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == code
 
 
 class TestFixtureCorpus:

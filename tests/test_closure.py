@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 from quadcsp.closure import (
     Exactness,
     Subclass,
@@ -13,15 +15,15 @@ from quadcsp.closure import (
     exactness_of,
     sweep_cap,
 )
-from quadcsp.core import parse_constraints
+from quadcsp.core import parse_constraints, satisfies as satisfies_one
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_tight_bound
 from quadcsp.matrix2d import (
     Matrix2D,
     _class_table,
-    from_dbm,
     load,
     new_matrix,
 )
+from quadcsp.solver import solve
 from gen import (
     box_constraints,
     random_general_constraint,
@@ -32,6 +34,7 @@ from gen import (
     random_upper_bound_constraint,
 )
 from oracles import cell_grid, floyd_warshall, satisfies
+from reference import from_dbm, has_negative_zero_cell
 
 SEVEN = """
 x1 - x2 - x3 <= 3
@@ -61,7 +64,7 @@ class TestClose:
         cs, n = parse_constraints("x1 - x2 <= 1\nx2 - x1 <= -2")
         result = close(load(cs, n))
         assert not result.feasible
-        assert result.matrix.has_negative_zero_cell()
+        assert has_negative_zero_cell(result.matrix)
         assert not fm_feasible(LinearSystem.from_constraints(cs, n))
 
     def test_empty_matrix_is_fixpoint(self):
@@ -76,7 +79,7 @@ class TestClose:
         result = close(load(cs, n), subclass=classify(cs))
         assert result.feasible
         assert result.matrix.get(0, 0, 0, 0) >= 0
-        assert not result.matrix.has_negative_zero_cell()
+        assert not has_negative_zero_cell(result.matrix)
 
     def test_infeasible_dbm_pair(self):
         dbm = [
@@ -298,6 +301,48 @@ class TestProperties:
             seen += 1
             assert not fm_feasible(LinearSystem.from_constraints(cs, n))
         assert seen >= 3
+
+
+# Feasible systems whose plain rounds never settle: a feedback loop
+# through several halvings improves some classes forever.  Each once ran
+# to the round cap of 313 without a verdict.
+ROUND_CAP_SYSTEMS = {
+    "seed 2350": [
+        "x3 - x1 - x4 <= 0",
+        "x1 - x3 - x3 <= -5",
+        "x3 + x4 - x1 - x2 <= 4",
+        "x4 - x2 - x3 <= -5",
+        "x2 + x4 - x3 <= 1",
+        "x2 - x4 <= 4",
+        "x1 + x2 - x4 <= 2",
+    ],
+    "seed 3513": [
+        "x2 - x1 - x3 <= 10",
+        "x4 + x4 - x3 <= 6",
+        "x1 + x3 - x4 <= -10",
+        "- x1 - x2 <= 19",
+        "- x2 - x4 <= -3",
+        "x3 - x4 <= 3",
+        "x2 + x2 - x3 - x3 <= 10",
+        "x1 - x3 - x3 <= -3",
+        *(f"{sign}x{i} <= 12" for i in range(1, 5) for sign in ("", "- ")),
+    ],
+}
+
+
+class TestRoundCapSystems:
+    @pytest.mark.parametrize("name", sorted(ROUND_CAP_SYSTEMS))
+    def test_stationary_sound_with_witness(self, name):
+        cs, n = parse_constraints("\n".join(ROUND_CAP_SYSTEMS[name]))
+        result = close(load(cs, n), subclass=classify(cs))
+        assert result.feasible and result.stationary
+        system = LinearSystem.from_constraints(cs, n)
+        for vec, value in zip(_class_table(n).vectors, result.matrix.bounds):
+            if not isinstance(value, float):
+                assert value >= fm_tight_bound(system, vec)
+        witness = solve(cs, n).witness
+        assert witness is not None
+        assert all(satisfies_one(c, witness) for c in cs)
 
 
 class TestClosureLaws:

