@@ -175,10 +175,6 @@ def _document(cfg: RunConfig, constraints, n) -> dict:
         raise SizeLimitError(
             f"x{n} exceeds the supported maximum of {MAX_VARIABLES} variables"
         )
-    if cfg.command == "explain" and len(constraints) > DEFAULT_MAX_CONSTRAINTS:
-        raise SizeLimitError(
-            f"explain handles at most {DEFAULT_MAX_CONSTRAINTS} constraints"
-        )
     if cfg.command == "solve":
         report = run_solve(
             constraints, n, cfg.witness_anyway, max_sweeps=cfg.max_sweeps
@@ -214,11 +210,16 @@ def _document(cfg: RunConfig, constraints, n) -> dict:
             if feasible
             else None,
         }
+    if feasible:
+        return {"feasible": feasible, "cycle": None}
+    # only an infeasible verdict enumerates subsets
+    if len(constraints) > DEFAULT_MAX_CONSTRAINTS:
+        raise SizeLimitError(
+            f"explain handles at most {DEFAULT_MAX_CONSTRAINTS} constraints"
+        )
     return {
         "feasible": feasible,
-        "cycle": None
-        if feasible
-        else _negative_cycle(constraints, cfg.max_cycle_size),
+        "cycle": _negative_cycle(constraints, cfg.max_cycle_size),
     }
 
 

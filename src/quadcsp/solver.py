@@ -1,20 +1,37 @@
 """End-to-end pipeline: load, close, reduce domains, extract a witness.
 
-Witness extraction follows the saturation argument behind the closure's
-feasibility characterization: pin x1 to its current closed upper bound
-(adding x1 <= hi and -x1 <= -hi), re-close, and move on to x2, so after
-at most n rounds the solution set shrinks to a single valuation.  Where
-the closure is exact every pin is attainable by construction; otherwise
+A witness pins x1, x2, ..., xn one at a time, each to the top of its
+interval as the pins before it cut it, so after n pins the solution set
+is a single valuation (unbounded variables, when a witness is forced,
+are first pinned to the point of their interval closest to 0).  The
+exactness tag of the closure picks one of two routes to the same pins.
+
+On an ``Exact`` closure (Octagon inputs) the pins are read off the
+closed matrix, with no closure at all.  Take the pinned set S and the
+next variable xk.  Octagons are closed under projection, and a canonical
+form holds the tight bound of every octagonal form (Miné, "The octagon
+abstract domain", HOSC 2006), so the projection onto S and xk is the
+octagon of the closed bounds of the forms over at most two of those
+variables.  The pins so far lie in the projection onto S, so the fiber
+over them is a non-empty interval, cut only by the forms that contain
+xk: its upper end is min(M[xk], M[xk - xj] + cj, M[xk + xj] - cj) over
+the pins xj = cj, and its lower end the mirror image.  Re-closing the
+octagon plus the pins would give the same interval, exactly so.
+
+On an ``UpperApprox`` closure reading bounds off the matrix would be
+unsound, so each pin adds xk <= hi and -xk <= -hi and re-closes.  There
 the closed bound may overshoot the true supremum, so a pin can make the
 system genuinely infeasible.  The closure detects this (its
 contradictions are always real) and the pin falls back to the oracle's
 exact supremum of that variable, which is attained, keeping the loop
 sound on every input.  The oracle runs on the input constraints plus the
 pins so far, the same polyhedron as the pinned matrix in far fewer rows.
-
-A pin lowers only the two cells of xi's bounds on a matrix that was
+A pin lowers only the two cells of xk's bounds on a matrix that was
 stationary, so its re-close is seeded with their two classes (see
 closure.close) instead of every class.
+
+On both routes ``solve`` checks the witness against every input
+constraint by exact substitution.
 """
 
 from __future__ import annotations
@@ -23,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .closure import ClosureResult, classify, close
+from .closure import ClosureResult, Exactness, classify, close
 from .core import (
     INF,
     Bound,
@@ -64,11 +81,13 @@ def reduce_domains(closed: Matrix2D) -> tuple[Interval, ...]:
     return tuple(out)
 
 
+def _all_finite(domains: Sequence[Interval]) -> bool:
+    return all(is_finite(lo) and is_finite(hi) for lo, hi in domains)
+
+
 def is_bounded(closed: Matrix2D) -> bool:
     """True when every variable interval has two finite ends."""
-    return all(
-        is_finite(lo) and is_finite(hi) for lo, hi in reduce_domains(closed)
-    )
+    return _all_finite(reduce_domains(closed))
 
 
 def _pin(
@@ -116,28 +135,71 @@ def _oracle_supremum(system: LinearSystem, i: int) -> Fraction:
     return hi
 
 
+def _read_off_witness(
+    m: Matrix2D, pin_unbounded_to_zero: bool
+) -> tuple[Fraction, ...]:
+    """The pins of an exact closure ``m``, read off its bounds in the
+    pin chain's order (see the module docstring).  Values stay in units
+    of ``1 / m.denom`` until the end."""
+    bound, cls = m.scaled, m._class_of
+    pins: dict[int, int] = {}
+
+    def interval(k: int) -> tuple:
+        """xk's closed interval cut by the pins so far."""
+        hi, neg_lo = bound[cls(k, 0, 0, 0)], bound[cls(0, k, 0, 0)]
+        for j, c in pins.items():
+            hi = min(hi, bound[cls(k, j, 0, 0)] + c, bound[cls(k, 0, 0, j)] - c)
+            neg_lo = min(
+                neg_lo, bound[cls(j, k, 0, 0)] - c, bound[cls(0, k, j, 0)] + c
+            )
+        return -neg_lo, hi
+
+    # A pin only narrows the intervals after it, so the first unbounded
+    # variable left is always a later one: one pass in index order pins
+    # the chain's sequence of them.
+    for k in range(1, m.n + 1):
+        lo, hi = interval(k)
+        if not (is_finite(lo) and is_finite(hi)):
+            if not pin_unbounded_to_zero:
+                raise ValueError(
+                    "system is unbounded; enable pin_unbounded_to_zero to force"
+                )
+            pins[k] = max(lo, min(hi, 0))
+    for k in range(1, m.n + 1):
+        if k not in pins:
+            pins[k] = interval(k)[1]
+            if not is_finite(pins[k]):
+                raise RuntimeError(f"internal error: x{k} is unbounded above")
+    return (Fraction(0), *(Fraction(pins[k], m.denom) for k in range(1, m.n + 1)))
+
+
 def extract_witness(
     result: ClosureResult,
     constraints: Sequence[Constraint4],
     pin_unbounded_to_zero: bool = False,
     max_sweeps: int | None = None,
 ) -> tuple[Fraction, ...]:
-    """A valuation satisfying every finite cell of a closed matrix.
+    """A valuation of x0..xn (x0 = 0) in the polyhedron of a closed matrix.
 
     ``result`` is the closure of ``constraints``.  It must be feasible,
     and bounded unless ``pin_unbounded_to_zero`` is set, in which case
     each unbounded variable is first pinned to the point of its interval
     closest to 0 (oracle-assisted when the closed interval overshoots).
-    When ``result`` is stationary the first pin re-closes from its pinned
+    An ``Exact`` result gives its pins straight from its matrix; any
+    other re-closes once per pin (see the module docstring).  When
+    ``result`` is stationary the first pin re-closes from its pinned
     cells only.  Oracle fallbacks run on ``constraints`` plus the pins so
     far: the polyhedron of the pinned matrix, in far fewer rows than its
-    finite classes.
+    finite classes.  ``solve`` verifies the valuation by exact
+    substitution; this function does not.
 
     Raises RuntimeError when an oracle fallback does not yield an
     attainable value, which would be an internal error.
     """
     if not result.feasible:
         raise ValueError("cannot extract a witness from an infeasible matrix")
+    if result.exactness is Exactness.EXACT:
+        return _read_off_witness(result.matrix, pin_unbounded_to_zero)
     m, stationary = result.matrix, result.stationary
     pins: list[tuple[int, Fraction]] = []
 
@@ -214,7 +276,7 @@ def solve(
         )
     domains = reduce_domains(closed.matrix)
     witness = None
-    if closed.stationary and (is_bounded(closed.matrix) or witness_anyway):
+    if closed.stationary and (_all_finite(domains) or witness_anyway):
         witness = extract_witness(
             closed, constraints, witness_anyway, max_sweeps=max_sweeps
         )

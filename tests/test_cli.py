@@ -237,9 +237,25 @@ class TestMainEntry:
         assert capsys.readouterr().out.strip() == "feasible"
 
     def test_explain_list_cap(self, tmp_path, capsys):
+        # an infeasible verdict over 16 constraints is not enumerated
         f = tmp_path / "many.txt"
-        f.write_text("\n".join(f"x1 <= {k}" for k in range(20)))
+        f.write_text("\n".join([*(f"x1 <= {k}" for k in range(19)), "x1 >= 30"]))
         assert main(["explain", str(f)]) == EXIT_USAGE
+        assert "explain handles at most 16 constraints" in assert_one_error_line(
+            capsys
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, out",
+        [("text", "feasible\n"), ("json", '{"feasible":true,"cycle":null}\n')],
+        ids=["text", "json"],
+    )
+    def test_explain_feasible_over_list_cap(self, tmp_path, capsys, fmt, out):
+        # a feasible verdict enumerates nothing, so the cap does not apply
+        f = tmp_path / "many.txt"
+        f.write_text("\n".join(f"x1 <= {k}" for k in range(17)))
+        assert main(["explain", str(f), "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr() == (out, "")
 
     def test_shared_parser_keeps_no_flags(self, tmp_path, capsys):
         # main reuses one parser per process; a flag given to one call

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import quadcsp.solver as solver_module
-from quadcsp.closure import classify, close
+from quadcsp.closure import Exactness, classify, close
 from quadcsp.core import INF, make_constraint, parse_constraints, satisfies
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_solution, fm_tight_bound
 from quadcsp.matrix2d import load, new_matrix
@@ -127,10 +127,74 @@ class TestExtractWitness:
             if not result.feasible:
                 continue
             assert result.stationary
-            full = dataclasses.replace(result, stationary=False)
-            assert extract_witness(result, cs) == extract_witness(full, cs)
+            # re-tagged, so that both witnesses come from pin chains
+            seeded = dataclasses.replace(result, exactness=Exactness.UPPER_APPROX)
+            full = dataclasses.replace(seeded, stationary=False)
+            assert extract_witness(seeded, cs) == extract_witness(full, cs)
             done += 1
 
+    def test_exact_read_off_matches_pin_chains(self):
+        # An Exact closure's witness is read off its matrix; re-tagged
+        # UpperApprox, the same closure goes through the seeded pin
+        # chain, and also through full re-closes when not stationary.
+        rng = random.Random(97)
+        done = 0
+        while done < 240:
+            n = rng.randint(1, 5)
+            cs = [
+                random_octagon_constraint(rng, n, -6, 10)
+                for _ in range(rng.randint(1, 2 * n + 1))
+            ]
+            if done % 2:
+                cs += box_constraints(n, rng.randint(3, 12))
+            result = close(load(cs, n), subclass=classify(cs))
+            if not result.feasible:
+                continue
+            assert result.exactness is Exactness.EXACT
+            seeded = dataclasses.replace(result, exactness=Exactness.UPPER_APPROX)
+            full = dataclasses.replace(seeded, stationary=False)
+            for anyway in (False, True):
+                witnesses = []
+                for r in (result, seeded, full):
+                    try:
+                        witnesses.append(extract_witness(r, cs, anyway))
+                    except ValueError as exc:
+                        witnesses.append(str(exc))
+                assert witnesses[0] == witnesses[1] == witnesses[2]
+                if not isinstance(witnesses[0], str):
+                    assert all(satisfies(c, witnesses[0]) for c in cs)
+            done += 1
+
+    def test_exact_witness_runs_no_closure(self, monkeypatch):
+        exact, octagon_cs, _ = closed_matrix(OCTAGON_PINS)
+        general, general_cs, _ = closed_matrix(OVERSHOOT)
+        assert exact.exactness is Exactness.EXACT
+        assert general.exactness is Exactness.UPPER_APPROX
+
+        def no_close(*args, **kwargs):
+            raise LookupError("close called")
+
+        monkeypatch.setattr(solver_module, "close", no_close)
+        assert extract_witness(exact, octagon_cs) == (
+            Fraction(0), Fraction(4), Fraction(1), Fraction(9, 2)
+        )
+        with pytest.raises(LookupError, match="close called"):
+            extract_witness(general, general_cs)
+
+
+# Pinning x1 to its closed upper bound 4 cuts x2 below its closed upper
+# bound 13/4, and x2 = 1 cuts x3 (fixtures/octagon_pins.txt).
+OCTAGON_PINS = """
+x1 <= 4
+x1 >= -3
+x2 <= 4
+x2 >= -3
+x1 + x2 <= 5
+x2 - x3 <= 1
+x3 <= 6
+x3 >= 0
+x1 - x3 >= -1/2
+"""
 
 # x1's closed upper bound 9/4 overshoots the true supremum 1/3, so the
 # pin of x1 falls back to the oracle.
