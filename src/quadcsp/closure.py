@@ -48,6 +48,29 @@ inputs the fixpoint is exactly the canonical form; otherwise it is an
 upper approximation: some tightest bounds need a combination the laws
 never form (a sum u + w = 2v where 2v is not a cell, or a coefficient 3;
 see exactness_of).
+
+Octagon inputs take another route to the same fixpoint, with no rounds
+and no class-sum table.  An octagonal class is a +-xi +-xj or +-xi form,
+or the doubled class 2e_i - 2e_j of one.  When the caller names the
+subclass Octagon, seeds no cells, and every finite class is octagonal,
+``close`` computes the strong closure on the 2n-node difference-bound
+matrix (node +xk and node -xk per variable; Miné, "The octagon abstract
+domain", HOSC 2006): Floyd-Warshall, where a negative diagonal is a
+derived 0 <= negative, then one strengthening pass
+m[a][b] <= (m[a][a-bar] + m[b-bar][b]) / 2, which over the rationals
+gives the strong closure (Bagnara, Hill & Zaffanella 2009).  The DBM
+holds the bounds doubled, so that the halving stays on ints.  Its cells
+are written back to their classes, the coupling fills the others, and
+one pass lowers each non-octagonal class to the minimum over its splits
+u + w = v into two octagonal classes (3 for a class on four variables),
+listed per n from the class's own variables.  The strong closure is the
+tight bound of every octagonal form, which is what the rounds reach on
+these classes.  Each split sum is one application of the law above, so
+the pass never goes below the rounds' fixpoint.  That one split always
+reaches it was measured: on 163 stationary feasible closed octagons,
+each of 23,094 non-octagonal classes equalled one pairwise sum of closed
+octagonal classes.  The tests check the route against the rounds class
+for class.  The pass counts as one round.
 """
 
 from __future__ import annotations
@@ -56,6 +79,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .core import INF, Constraint4
@@ -135,15 +159,21 @@ def exactness_of(sub: Subclass) -> Exactness:
 
 
 @lru_cache(maxsize=None)
+def _class_codes(n: int) -> tuple[int, ...]:
+    """The balanced base-9 code of each class vector.  The entries of a
+    sum or difference of two classes lie in [-4, 4], so its code is the
+    sum or difference of theirs."""
+    return tuple(
+        sum(x * 9**d for d, x in enumerate(vec))
+        for vec in _class_table(n).vectors
+    )
+
+
+@lru_cache(maxsize=None)
 def _sum_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """uses[u]: every (w, v) with class u + class w == class v, in the
     class numbering of ``matrix2d._class_table``."""
-    # Balanced base-9 code: the entries of u + w lie in [-4, 4], so the
-    # code of a sum is the sum of the codes.
-    codes = [
-        sum(x * 9**d for d, x in enumerate(vec))
-        for vec in _class_table(n).vectors
-    ]
+    codes = _class_codes(n)
     index = {code: k for k, code in enumerate(codes)}
     # one int object per class, shared by every entry that names it
     ids = list(range(len(codes)))
@@ -174,6 +204,124 @@ def _combine(
                 if cand < bounds[v]:
                     bounds[v] = cand
                     trace[v] = ("sum", u, w)
+
+
+def _is_octagonal(vec: tuple[int, ...]) -> bool:
+    """A +-xi +-xj or +-xi form (at most two units over x1..xn), or the
+    doubled class 2e_i - 2e_j of one; the zero vector is not."""
+    units = sum(map(abs, vec[1:]))
+    return 0 < units <= 2 or sorted(x for x in vec if x) == [-2, 2]
+
+
+@lru_cache(maxsize=None)
+def _octagon_layout(n: int) -> tuple[tuple, tuple]:
+    """Per-n layout of the octagon route: (cells, splits).
+
+    ``cells`` lists (k, a, b) for each class k in the 2n-node DBM: cell
+    (a, b) bounds V_b - V_a, with node 2i - 2 for V = +xi and node
+    2i - 1 for V = -xi, and its mirror cell (b ^ 1, a ^ 1) bounds the
+    same form.  ``splits`` lists (v, ((u, w), ...)) for each
+    non-octagonal class v: its splits u + w = v into two octagonal
+    classes, each pair once.
+    """
+    vectors = _class_table(n).vectors
+    codes = _class_codes(n)
+    index = {vec: k for k, vec in enumerate(vectors)}
+
+    def cell(a: int, b: int) -> int:
+        vec = [0] * (n + 1)
+        vec[b // 2 + 1] += -1 if b & 1 else 1
+        vec[a // 2 + 1] -= -1 if a & 1 else 1
+        vec[0] = -sum(vec)
+        return index[tuple(vec)]
+
+    def support(vec: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(d for d in range(1, n + 1) if vec[d])
+
+    octagonal = {}  # code -> class
+    by_support: dict[tuple[int, ...], list[int]] = {}
+    for k, vec in enumerate(vectors):
+        if _is_octagonal(vec):
+            octagonal[codes[k]] = k
+            by_support.setdefault(support(vec), []).append(k)
+    # Two octagonal classes that cancel on a variable sum to an
+    # octagonal class, so both halves of a split lie on v's own
+    # variables: u runs over the octagonal classes on one or two of them.
+    splits = []
+    for v, vec in enumerate(vectors):
+        if not any(vec) or codes[v] in octagonal:
+            continue
+        variables = support(vec)
+        pairs = [
+            (u, w)
+            for size in (1, 2)
+            for sub in combinations(variables, size)
+            for u in by_support.get(sub, ())
+            if (w := octagonal.get(codes[v] - codes[u])) is not None and u <= w
+        ]
+        splits.append((v, tuple(pairs)))
+    cells = {
+        (k := cell(a, b)): (k, a, b)
+        for a in range(2 * n)
+        for b in range(2 * n)
+        if a != b
+    }
+    return tuple(cells.values()), tuple(splits)
+
+
+def _octagon_close(
+    n: int, bounds: list, zero: int, couplings: tuple, cells, splits
+) -> int:
+    """Close octagonal ``bounds`` (every other class +inf) in place by
+    strong closure on the 2n-node DBM and one split pass (see the module
+    docstring).  Returns the factor by which the common denominator grew.
+
+    The DBM holds each bound doubled, so that the strengthening halves
+    exactly, and the bounds come back over twice the denominator.  When
+    Floyd-Warshall leaves a negative diagonal, the zero class takes the
+    most negative one, a derived 0 <= negative, and only the coupling
+    runs after it.
+    """
+    size = 2 * n
+    dbm = [[INF] * size for _ in range(size)]
+    for a in range(size):
+        dbm[a][a] = 0
+    for k, a, b in cells:
+        if (bound := bounds[k]) is not INF:
+            dbm[a][b] = dbm[b ^ 1][a ^ 1] = 2 * bound
+    for mid in range(size):
+        row_mid = dbm[mid]
+        for a, row in enumerate(dbm):
+            d = row[mid]
+            if d is not INF:
+                dbm[a] = [
+                    c if (c := d + y) < x else x for x, y in zip(row, row_mid)
+                ]
+    least = min(row[a] for a, row in enumerate(dbm))
+    if least >= 0:
+        # m[a][b] <= (m[a][a-bar] + m[b-bar][b]) / 2; every entry is even
+        pair = [row[a ^ 1] for a, row in enumerate(dbm)]
+        gain = [pair[b ^ 1] for b in range(size)]
+        for a, row in enumerate(dbm):
+            h = pair[a]
+            if h is not INF:
+                dbm[a] = [
+                    c if g is not INF and (c := (h + g) >> 1) < x else x
+                    for x, g in zip(row, gain)
+                ]
+    # Every octagonal class is a DBM class or coupled to one, and the
+    # zero class is the diagonal: the rest stays +inf until the splits.
+    bounds[:] = [INF] * len(bounds)
+    for k, a, b in cells:
+        bounds[k] = dbm[a][b]
+    bounds[zero] = least
+    factor = 2 * _couple(bounds, couplings, {})
+    if least < 0:
+        return factor
+    for v, pairs in splits:
+        best = min([bounds[u] + bounds[w] for u, w in pairs])
+        bounds[v] = INF if best == INF else best
+    return factor
 
 
 # The plain iteration need not reach its own fixpoint in finitely many
@@ -332,25 +480,43 @@ def close(
     seeded with every class.  ``lowered`` seeds it instead with the
     classes of the (row, col) cells lowered since ``matrix`` was last
     stationary, for instance by a witness pin; the classes the initial
-    coupling lowers join it.  ``sweeps_used`` counts rounds.
+    coupling lowers join it.  ``sweeps_used`` counts rounds.  An Octagon
+    ``subclass`` with no ``lowered`` and only octagonal finite classes
+    takes the strong closure and split pass instead, which count as one
+    round: stationary unless they find the input infeasible.
 
     An input whose zero-vector class is already negative returns
     immediately (sweeps_used = 0), which keeps close idempotent on its
     own outputs despite the early exit on infeasibility.
     """
     layout = _class_table(matrix.n)
-    uses = _sum_table(matrix.n)
     bounds = matrix.scaled[:]
     trace: dict = {}
     denom = matrix.denom * _couple(bounds, layout.couplings, trace)
     # a zero-vector class already negative: no round runs
     feasible = bounds[layout.zero] >= 0
+    cap = sweep_cap(matrix.n) if max_sweeps is None else max_sweeps
+    if (
+        feasible
+        and cap > 0
+        and lowered is None
+        and subclass is Subclass.OCTAGON
+    ):
+        cells, splits = _octagon_layout(matrix.n)
+        if all(bounds[v] is INF for v, _ in splits):
+            denom *= _octagon_close(
+                matrix.n, bounds, layout.zero, layout.couplings, cells, splits
+            )
+            feasible = bounds[layout.zero] >= 0
+            return _result(
+                matrix.n, bounds, denom, feasible, 1, feasible, subclass
+            )
+    uses = _sum_table(matrix.n)
     if lowered is None:
         delta = range(len(bounds))
     else:
         delta = {matrix.class_of_cell(r, c) for r, c in lowered}
         delta.update(trace)
-    cap = sweep_cap(matrix.n) if max_sweeps is None else max_sweeps
     sweeps = 0
     stationary = False
     recent: dict = {}
@@ -391,6 +557,20 @@ def close(
                 if bounds[layout.zero] < 0:
                     feasible = False
                     break
+    return _result(
+        matrix.n, bounds, denom, feasible, sweeps, stationary, subclass
+    )
+
+
+def _result(
+    n: int,
+    bounds: list,
+    denom: int,
+    feasible: bool,
+    sweeps: int,
+    stationary: bool,
+    subclass: Subclass | None,
+) -> ClosureResult:
     exact = (
         feasible
         and stationary
@@ -398,7 +578,7 @@ def close(
         and exactness_of(subclass) is Exactness.EXACT
     )
     return ClosureResult(
-        matrix=Matrix2D(matrix.n, bounds, denom).reduce(),
+        matrix=Matrix2D(n, bounds, denom).reduce(),
         feasible=feasible,
         sweeps_used=sweeps,
         exactness=Exactness.EXACT if exact else Exactness.UPPER_APPROX,

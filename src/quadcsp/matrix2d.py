@@ -44,7 +44,9 @@ from .core import (
 #: n = 10) and the layout table maps all (n+1)^4 cells to them; the
 #: closure's table of class sums u + w = v grows like (n+1)^6 entries,
 #: a round reads the entries of every class the round before lowered,
-#: and up to ceil((n+1)^4 / 2) rounds may run.
+#: and up to ceil((n+1)^4 / 2) rounds may run.  Octagon closes build no
+#: class-sum table: they run a strong closure on 2n nodes and one pass
+#: over each class's few splits.
 MAX_VARIABLES = 32
 
 

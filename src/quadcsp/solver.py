@@ -228,21 +228,18 @@ def extract_witness(
         pins.append((i, value))
         return value
 
-    if not is_bounded(m):
-        if not pin_unbounded_to_zero:
-            raise ValueError(
-                "system is unbounded; enable pin_unbounded_to_zero to force"
-            )
-        while True:
-            unbounded = [
-                (i, lo, hi)
-                for i, (lo, hi) in enumerate(reduce_domains(m), start=1)
-                if not (is_finite(lo) and is_finite(hi))
-            ]
-            if not unbounded:
-                break
-            i, lo, hi = unbounded[0]
-            value = Fraction(max(lo, min(hi, Fraction(0))))
+    # A pin only narrows intervals and every variable before it is
+    # bounded already, so the first unbounded variable left is always a
+    # later one: one pass in index order over the current matrix pins the
+    # chain's sequence of them.
+    for i in range(1, m.n + 1):
+        hi, neg_lo = m.get(i, 0, 0, 0), m.get(0, i, 0, 0)
+        if not (is_finite(hi) and is_finite(neg_lo)):
+            if not pin_unbounded_to_zero:
+                raise ValueError(
+                    "system is unbounded; enable pin_unbounded_to_zero to force"
+                )
+            value = Fraction(max(-neg_lo, min(hi, Fraction(0))))
             pin(i, value, _oracle_point, "point")
 
     values: list[Fraction] = [Fraction(0)]

@@ -9,6 +9,8 @@ import pytest
 from quadcsp.closure import (
     Exactness,
     Subclass,
+    _is_octagonal,
+    _octagon_layout,
     _sum_table,
     classify,
     close,
@@ -635,3 +637,117 @@ class TestClassSumTable:
                 for w, v in pairs
             }
             assert table == laws, n
+
+
+def octagon_cases(seed):
+    """(label, matrix) over seeded octagon systems, n = 1..6, half of
+    them boxed, and lifted random potential DBMs."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        for _ in range(12 if n <= 4 else 4):
+            cs = [
+                random_octagon_constraint(rng, n, -4, 10)
+                for _ in range(rng.randint(1, 2 * n + 2))
+            ]
+            if rng.random() < 0.5:
+                cs += box_constraints(n, rng.randint(3, 12))
+            yield f"octagon n={n} {cs}", load(cs, n)
+        if n <= 4:
+            for _ in range(4):
+                dbm = random_potential_dbm(rng, n)
+                yield f"dbm n={n} {dbm}", from_dbm(dbm)
+
+
+class TestOctagonRoute:
+    """close(m, subclass=Subclass.OCTAGON) takes the strong closure and
+    split pass; close(m) runs the general rounds, the reference."""
+
+    def test_matches_general_rounds(self):
+        verdicts = set()
+        for label, matrix in octagon_cases(seed=181):
+            route = close(matrix, subclass=Subclass.OCTAGON)
+            general = close(matrix)
+            assert route.feasible == general.feasible, label
+            assert route.sweeps_used == 1, label
+            assert route.stationary == route.feasible, label
+            verdicts.add(route.feasible)
+            if route.feasible:
+                assert general.stationary, label
+                assert route.exactness is Exactness.EXACT, label
+                assert route.matrix == general.matrix, label
+            else:
+                assert has_negative_zero_cell(route.matrix), label
+        assert verdicts == {True, False}
+
+    def test_feasible_octagon_is_one_stationary_round(self):
+        cs, n = parse_constraints(
+            "x1 <= 4\nx1 >= -3\nx2 - x1 <= 1\nx1 + x2 <= 5\nx3 - x2 <= 2"
+        )
+        result = close(load(cs, n), subclass=classify(cs))
+        assert result.feasible and result.stationary
+        assert result.sweeps_used == 1
+        assert result.exactness is Exactness.EXACT
+        # x3 <= x2 + 2 and 2x2 <= (x2 - x1) + (x1 + x2) <= 6
+        assert result.matrix.get(3, 0, 0, 0) == 5
+        # the three-variable class x1 - x2 + x3, from one split, is
+        # tight: x1 + 2 <= 6
+        assert result.matrix.get(1, 2, 0, 3) == 6
+        system = LinearSystem.from_constraints(cs, n)
+        assert fm_tight_bound(system, [0, 1, -1, 1]) == 6
+
+    def test_infeasible_in_the_pass(self):
+        cs, n = parse_constraints(
+            "x1 - x2 <= 1/2\nx2 + x3 <= 1\n- x3 - x1 <= -2"
+        )
+        assert classify(cs) is Subclass.OCTAGON
+        result = close(load(cs, n), subclass=Subclass.OCTAGON)
+        assert not result.feasible and not result.stationary
+        assert result.sweeps_used == 1
+        assert result.exactness is Exactness.UPPER_APPROX
+        assert has_negative_zero_cell(result.matrix)
+        again = close(result.matrix, subclass=Subclass.OCTAGON)
+        assert not again.feasible and again.sweeps_used == 0
+        assert again.matrix == result.matrix
+
+    def test_negative_zero_class_on_entry(self):
+        cs, n = parse_constraints("x1 - x1 <= -1\nx1 <= 3")
+        result = close(load(cs, n), subclass=classify(cs))
+        assert not result.feasible and not result.stationary
+        assert result.sweeps_used == 0
+
+    def test_no_round_under_max_sweeps_zero(self):
+        cs, n = parse_constraints("x1 - x2 <= 1\nx2 <= 3\nx2 + x3 <= 0")
+        loaded = load(cs, n)
+        result = close(loaded, subclass=Subclass.OCTAGON, max_sweeps=0)
+        assert result.feasible and not result.stationary
+        assert result.sweeps_used == 0
+        assert result.exactness is Exactness.UPPER_APPROX
+        assert result.matrix == loaded
+
+    def test_splits_are_every_octagonal_pair(self):
+        """The layout's splits of each non-octagonal class, enumerated
+        from its own variables, are exactly the unordered pairs of
+        octagonal classes that sum to it, found by scanning all pairs;
+        a class on four variables has 3."""
+        for n in range(1, 6):
+            vectors = _class_table(n).vectors
+            octagonal = [
+                k for k, vec in enumerate(vectors) if _is_octagonal(vec)
+            ]
+            want: dict = {}
+            for a, u in enumerate(octagonal):
+                for w in octagonal[a:]:
+                    vec = tuple(x + y for x, y in zip(vectors[u], vectors[w]))
+                    want.setdefault(vec, set()).add((u, w))
+            _, splits = _octagon_layout(n)
+            for v, pairs in splits:
+                assert not _is_octagonal(vectors[v]) and any(vectors[v])
+                assert set(pairs) == want[vectors[v]], (n, vectors[v])
+                if sum(1 for x in vectors[v][1:] if x) == 4:
+                    assert len(pairs) == 3
+            listed = {v for v, _ in splits}
+            others = {
+                k for k, vec in enumerate(vectors)
+                if any(vec) and not _is_octagonal(vec)
+            }
+            assert listed == others, n

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import quadcsp.closure as closure_module
 import quadcsp.solver as solver_module
 from quadcsp.closure import Exactness, classify, close
 from quadcsp.core import INF, make_constraint, parse_constraints, satisfies
@@ -180,6 +181,21 @@ class TestExtractWitness:
         )
         with pytest.raises(LookupError, match="close called"):
             extract_witness(general, general_cs)
+
+    def test_octagon_solve_builds_no_class_sum_table(self, monkeypatch):
+        def no_table(n):
+            raise LookupError("class-sum table built")
+
+        monkeypatch.setattr(closure_module, "_sum_table", no_table)
+        cs, n = parse_constraints(OCTAGON_PINS)
+        report = solve(cs, n)
+        assert report.closed.exactness is Exactness.EXACT
+        assert report.witness == (
+            Fraction(0), Fraction(4), Fraction(1), Fraction(9, 2)
+        )
+        general, gn = parse_constraints(OVERSHOOT)
+        with pytest.raises(LookupError, match="class-sum table built"):
+            solve(general, gn)
 
 
 # Pinning x1 to its closed upper bound 4 cuts x2 below its closed upper
