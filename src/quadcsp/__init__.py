@@ -10,7 +10,7 @@ An infeasible verdict is explained by a simple hypercycle of negative
 weight, found by enumerating positively dependent constraint subsets.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (
     INF,

@@ -168,8 +168,8 @@ def _verdict(closed: ClosureResult) -> bool:
 
 def _document(cfg: RunConfig, constraints, n) -> dict:
     """The result of one command: the document ``--format json`` prints."""
-    sub = classify(constraints)
     if cfg.command == "subclass":
+        sub = classify(constraints)
         return {"subclass": sub.value, "exactness": exactness_of(sub).value}
     if n > MAX_VARIABLES:
         raise SizeLimitError(
@@ -181,7 +181,7 @@ def _document(cfg: RunConfig, constraints, n) -> dict:
         )
         return {
             "feasible": _verdict(report.closed),
-            "subclass": sub.value,
+            "subclass": classify(constraints).value,
             "exactness": report.closed.exactness.value,
             "sweeps_used": report.closed.sweeps_used,
             "domains": _domains(report.domains),
@@ -190,9 +190,7 @@ def _document(cfg: RunConfig, constraints, n) -> dict:
             else [str(v) for v in report.witness],
             "matrix": to_json_obj(report.closed.matrix),
         }
-    closed = close(
-        load(constraints, n), subclass=sub, max_sweeps=cfg.max_sweeps
-    )
+    closed = close(load(constraints, n), max_sweeps=cfg.max_sweeps)
     feasible = _verdict(closed)
     if cfg.command == "check":
         return {"feasible": feasible}

@@ -15,8 +15,8 @@ The pairs of classes they combine, in either order, are exactly the
 pairs (u, w) whose sum u + w = v is itself a class (the tests check this
 against both laws), so on classes they are one law,
 bound(v) <= bound(u) + bound(w), read from a per-n table that lists, for
-each class u, every such (w, v).  The doubled differences couple with
-the plain ones in both directions:
+each class u, every such (w, v); a row is built when first read.  The
+doubled differences couple with the plain ones in both directions:
 bound(e_i - e_j) <= bound(2e_i - 2e_j) / 2, and the reverse doubling.
 
 The matrix's coupling runs once on entry, then in rounds.  A round
@@ -50,9 +50,10 @@ never form (a sum u + w = 2v where 2v is not a cell, or a coefficient 3;
 see exactness_of).
 
 Octagon inputs take another route to the same fixpoint, with no rounds
-and no class-sum table.  An octagonal class is a +-xi +-xj or +-xi form,
-or the doubled class 2e_i - 2e_j of one.  When the caller names the
-subclass Octagon, seeds no cells, and every finite class is octagonal,
+and no class-sum rows.  An octagonal class is a +-xi +-xj or +-xi form,
+or the doubled class 2e_i - 2e_j of one.  When every finite class of the
+matrix, after the entry coupling, is octagonal (the zero class aside),
+the matrix is an octagon, whatever rows it was loaded from, and
 ``close`` computes the strong closure on the 2n-node difference-bound
 matrix (node +xk and node -xk per variable; Miné, "The octagon abstract
 domain", HOSC 2006): Floyd-Warshall, where a negative diagonal is a
@@ -69,8 +70,10 @@ these classes.  Each split sum is one application of the law above, so
 the pass never goes below the rounds' fixpoint.  That one split always
 reaches it was measured: on 163 stationary feasible closed octagons,
 each of 23,094 non-octagonal classes equalled one pairwise sum of closed
-octagonal classes.  The tests check the route against the rounds class
-for class.  The pass counts as one round.
+octagonal classes.  The tests check the route against the cell-level
+full sweeps class for class.  The pass counts as one round, and a
+feasible result of this route is the canonical form: the only one
+tagged ``Exact``.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ from .matrix2d import Matrix2D, _class_table, _couple, _lower
 
 
 class Subclass(Enum):
-    """Syntactic shape of a constraint set, deciding closure exactness."""
+    """Syntactic shape of a constraint set: the label of the ``subclass``
+    command (the closure decides its own route from the matrix)."""
 
     OCTAGON = "Octagon"
     UPPER_BOUND = "UpperBound"
@@ -169,26 +173,38 @@ def _class_codes(n: int) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _sum_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+class _SumRows(dict):
     """uses[u]: every (w, v) with class u + class w == class v, in the
-    class numbering of ``matrix2d._class_table``."""
-    codes = _class_codes(n)
-    index = {code: k for k, code in enumerate(codes)}
-    # one int object per class, shared by every entry that names it
-    ids = list(range(len(codes)))
-    return tuple(
-        tuple(
+    class numbering of ``matrix2d._class_table``.  A row is built on its
+    first read and kept: ``_combine`` reads only the rows of finite,
+    lowered classes, often a small share of them."""
+
+    def __init__(self, codes: tuple[int, ...]):
+        super().__init__()
+        self._codes = codes
+        self._index = {code: k for k, code in enumerate(codes)}
+        # one int object per class, shared by every entry that names it
+        self._ids = list(range(len(codes)))
+
+    def __missing__(self, u: int) -> tuple[tuple[int, int], ...]:
+        index, cu = self._index, self._codes[u]
+        row = self[u] = tuple(
             (w, v)
-            for w, cw in zip(ids, codes)
+            for w, cw in zip(self._ids, self._codes)
             if (v := index.get(cu + cw)) is not None
         )
-        for cu in codes
-    )
+        return row
+
+
+@lru_cache(maxsize=None)
+def _sum_table(n: int) -> _SumRows:
+    """The class-sum rows at n (see ``_SumRows``), one table per n, so
+    that a witness pin reuses the rows of the closes before it."""
+    return _SumRows(_class_codes(n))
 
 
 def _combine(
-    bounds: list, seeds: Iterable[int], uses: tuple, trace: dict
+    bounds: list, seeds: Iterable[int], uses: _SumRows, trace: dict
 ) -> None:
     """Recombine each class of ``seeds`` with every partner in ``uses``
     (see ``_sum_table``), in place; updated bounds are used immediately.
@@ -211,6 +227,17 @@ def _is_octagonal(vec: tuple[int, ...]) -> bool:
     doubled class 2e_i - 2e_j of one; the zero vector is not."""
     units = sum(map(abs, vec[1:]))
     return 0 < units <= 2 or sorted(x for x in vec if x) == [-2, 2]
+
+
+@lru_cache(maxsize=None)
+def _non_octagonal(n: int) -> tuple[int, ...]:
+    """The classes that an octagon leaves at +inf: every class that is
+    neither octagonal nor the zero class, in class order."""
+    return tuple(
+        k
+        for k, vec in enumerate(_class_table(n).vectors)
+        if any(vec) and not _is_octagonal(vec)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -248,10 +275,8 @@ def _octagon_layout(n: int) -> tuple[tuple, tuple]:
     # octagonal class, so both halves of a split lie on v's own
     # variables: u runs over the octagonal classes on one or two of them.
     splits = []
-    for v, vec in enumerate(vectors):
-        if not any(vec) or codes[v] in octagonal:
-            continue
-        variables = support(vec)
+    for v in _non_octagonal(n):
+        variables = support(vectors[v])
         pairs = [
             (u, w)
             for size in (1, 2)
@@ -464,54 +489,48 @@ def _policy_fixpoint(eqs: dict, bounds: list):
 
 def close(
     matrix: Matrix2D,
-    subclass: Subclass | None = None,
     max_sweeps: int | None = None,
     lowered: Iterable[tuple[int, int]] | None = None,
 ) -> ClosureResult:
     """Tighten a copy of ``matrix`` to stationarity (or the round cap).
 
-    ``subclass`` is the classification of the constraints the matrix was
-    loaded from; without it the result is conservatively tagged as an
-    upper approximation (the normalized matrix alone no longer determines
-    the original syntactic shape).  ``max_sweeps`` overrides the default
-    round cap.
+    ``max_sweeps`` overrides the default round cap.  Rounds run over
+    classes (see the module docstring); the first is seeded with every
+    class.  ``lowered`` seeds it instead with the classes of the
+    (row, col) cells lowered since ``matrix`` was last stationary, for
+    instance by a witness pin; the classes the initial coupling lowers
+    join it.  ``sweeps_used`` counts rounds.
 
-    Rounds run over classes (see the module docstring); the first is
-    seeded with every class.  ``lowered`` seeds it instead with the
-    classes of the (row, col) cells lowered since ``matrix`` was last
-    stationary, for instance by a witness pin; the classes the initial
-    coupling lowers join it.  ``sweeps_used`` counts rounds.  An Octagon
-    ``subclass`` with no ``lowered`` and only octagonal finite classes
-    takes the strong closure and split pass instead, which count as one
-    round: stationary unless they find the input infeasible.
+    A matrix whose finite classes are all octagonal after the entry
+    coupling takes the strong closure and split pass instead, seeded or
+    not, under any positive cap.  They count as one round: stationary
+    unless they find the input infeasible.  Their feasible results are
+    tagged ``Exact``; every other result is an ``UpperApprox``.
 
     An input whose zero-vector class is already negative returns
     immediately (sweeps_used = 0), which keeps close idempotent on its
     own outputs despite the early exit on infeasibility.
     """
-    layout = _class_table(matrix.n)
+    n = matrix.n
+    layout = _class_table(n)
     bounds = matrix.scaled[:]
     trace: dict = {}
     denom = matrix.denom * _couple(bounds, layout.couplings, trace)
     # a zero-vector class already negative: no round runs
     feasible = bounds[layout.zero] >= 0
-    cap = sweep_cap(matrix.n) if max_sweeps is None else max_sweeps
+    cap = sweep_cap(n) if max_sweeps is None else max_sweeps
     if (
         feasible
         and cap > 0
-        and lowered is None
-        and subclass is Subclass.OCTAGON
+        and all(bounds[v] is INF for v in _non_octagonal(n))
     ):
-        cells, splits = _octagon_layout(matrix.n)
-        if all(bounds[v] is INF for v, _ in splits):
-            denom *= _octagon_close(
-                matrix.n, bounds, layout.zero, layout.couplings, cells, splits
-            )
-            feasible = bounds[layout.zero] >= 0
-            return _result(
-                matrix.n, bounds, denom, feasible, 1, feasible, subclass
-            )
-    uses = _sum_table(matrix.n)
+        cells, splits = _octagon_layout(n)
+        denom *= _octagon_close(
+            n, bounds, layout.zero, layout.couplings, cells, splits
+        )
+        feasible = bounds[layout.zero] >= 0
+        return _result(n, bounds, denom, feasible, 1, feasible, feasible)
+    uses = _sum_table(n)
     if lowered is None:
         delta = range(len(bounds))
     else:
@@ -557,9 +576,7 @@ def close(
                 if bounds[layout.zero] < 0:
                     feasible = False
                     break
-    return _result(
-        matrix.n, bounds, denom, feasible, sweeps, stationary, subclass
-    )
+    return _result(n, bounds, denom, feasible, sweeps, stationary, False)
 
 
 def _result(
@@ -569,14 +586,8 @@ def _result(
     feasible: bool,
     sweeps: int,
     stationary: bool,
-    subclass: Subclass | None,
+    exact: bool,
 ) -> ClosureResult:
-    exact = (
-        feasible
-        and stationary
-        and subclass is not None
-        and exactness_of(subclass) is Exactness.EXACT
-    )
     return ClosureResult(
         matrix=Matrix2D(n, bounds, denom).reduce(),
         feasible=feasible,

@@ -41,12 +41,13 @@ from .core import (
 )
 
 #: Hard cap on n.  A matrix stores one bound per class (3,191 at
-#: n = 10) and the layout table maps all (n+1)^4 cells to them; the
-#: closure's table of class sums u + w = v grows like (n+1)^6 entries,
-#: a round reads the entries of every class the round before lowered,
-#: and up to ceil((n+1)^4 / 2) rounds may run.  Octagon closes build no
-#: class-sum table: they run a strong closure on 2n nodes and one pass
-#: over each class's few splits.
+#: n = 10) and the layout table maps all (n+1)^4 cells to them.  The
+#: closure's table of class sums u + w = v builds the row of a class on
+#: its first read, when that class is finite and lowered; all rows
+#: together hold about (n+1)^6 entries.  A round reads the rows of every
+#: class the round before lowered, and up to ceil((n+1)^4 / 2) rounds
+#: may run.  Octagon closes read no class-sum row: they run a strong
+#: closure on 2n nodes and one pass over each class's few splits.
 MAX_VARIABLES = 32
 
 

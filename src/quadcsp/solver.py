@@ -6,11 +6,12 @@ is a single valuation (unbounded variables, when a witness is forced,
 are first pinned to the point of their interval closest to 0).  The
 exactness tag of the closure picks one of two routes to the same pins.
 
-On an ``Exact`` closure (Octagon inputs) the pins are read off the
-closed matrix, with no closure at all.  Take the pinned set S and the
-next variable xk.  Octagons are closed under projection, and a canonical
-form holds the tight bound of every octagonal form (Miné, "The octagon
-abstract domain", HOSC 2006), so the projection onto S and xk is the
+On an ``Exact`` closure (an input whose loaded matrix is an octagon;
+see closure.close) the pins are read off the closed matrix, with no
+closure at all.  Take the pinned set S and the next variable xk.
+Octagons are closed under projection, and a canonical form holds the
+tight bound of every octagonal form (Miné, "The octagon abstract
+domain", HOSC 2006), so the projection onto S and xk is the
 octagon of the closed bounds of the forms over at most two of those
 variables.  The pins so far lie in the projection onto S, so the fiber
 over them is a non-empty interval, cut only by the forms that contain
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .closure import ClosureResult, Exactness, classify, close
+from .closure import ClosureResult, Exactness, close
 from .core import (
     INF,
     Bound,
@@ -266,7 +267,7 @@ def solve(
     substitution before being returned.
     """
     matrix = load(constraints, n)
-    closed = close(matrix, subclass=classify(constraints), max_sweeps=max_sweeps)
+    closed = close(matrix, max_sweeps=max_sweeps)
     if not closed.feasible:
         return SolveReport(
             feasible=False, closed=closed, domains=None, witness=None

@@ -93,7 +93,7 @@ def test_criterion_1_reference_system_reproduction():
     with criterion(1, "reference system: feasible, valuation check, < 1 s"):
         start = time.perf_counter()
         cs, n = parse_constraints(SEVEN)
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         elapsed = time.perf_counter() - start
         assert result.feasible
         valuation = [Fraction(v) for v in (0, 6, 3, 1, 2)]
@@ -154,7 +154,7 @@ def _feasible_draws(rng, makers, count):
         system = LinearSystem.from_constraints(cs, n)
         if not fm_feasible(system):
             continue
-        yield cs, system, close(load(cs, n), subclass=classify(cs))
+        yield cs, system, close(load(cs, n))
         instances += 1
 
 
@@ -266,7 +266,7 @@ def test_criterion_5_general_soundness():
             ]
             system = LinearSystem.from_constraints(cs, n)
             oracle_feasible = fm_feasible(system)
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             if not result.feasible:
                 # closure contradictions must be real
                 assert not oracle_feasible
@@ -375,7 +375,7 @@ def test_criterion_8_closure_properties():
 
         smoke = [random_general_constraint(rng, 6, lo=-3, hi=12) for _ in range(12)]
         start = time.perf_counter()
-        result = close(load(smoke, 6), subclass=classify(smoke))
+        result = close(load(smoke, 6))
         elapsed = time.perf_counter() - start
         assert result.sweeps_used <= sweep_cap(6)
         assert elapsed < 60.0, f"n=6 closure took {elapsed:.1f}s"

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+import quadcsp.closure as closure_module
 from quadcsp.closure import (
     Exactness,
     Subclass,
@@ -51,7 +52,7 @@ x1 <= 6
 
 def closed_seven():
     cs, n = parse_constraints(SEVEN)
-    return close(load(cs, n), subclass=classify(cs)), cs, n
+    return close(load(cs, n)), cs, n
 
 
 class TestClose:
@@ -78,7 +79,7 @@ class TestClose:
         cs, n = parse_constraints(
             "x1 - x2 - x3 <= 3\nx2 - x1 - x4 <= -4\nx4 + x3 <= 5", n=4
         )
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         assert result.feasible
         assert result.matrix.get(0, 0, 0, 0) >= 0
         assert not has_negative_zero_cell(result.matrix)
@@ -142,7 +143,7 @@ class TestThreeVariableInexactness:
         text = "x1 <= 2\nx1 - x2 <= 3\nx1 + x2 <= -4\nx2 + x2 - x1 <= 5"
         cs, n = parse_constraints(text)
         assert classify(cs) is Subclass.LOWER_BOUND
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         assert result.feasible
         assert result.exactness is Exactness.UPPER_APPROX
         closed_bound = result.matrix.get(2, 0, 0, 0)
@@ -164,7 +165,7 @@ class TestThreeVariableInexactness:
         cs, n = parse_constraints(text)
         assert classify(cs) is Subclass.LOWER_BOUND
         system = LinearSystem.from_constraints(cs, n)
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         assert result.feasible
         true_bound = fm_tight_bound(system, (0, 0, 0, 1, 0))
         assert true_bound == Fraction(-4, 3)
@@ -216,7 +217,7 @@ class TestProperties:
             sys = LinearSystem.from_constraints(cs, n)
             if not fm_feasible(sys):
                 continue
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             assert result.feasible
             for vec, value in zip(
                 _class_table(n).vectors, result.matrix.bounds
@@ -237,7 +238,7 @@ class TestProperties:
             sys = LinearSystem.from_constraints(cs, n)
             if not fm_feasible(sys):
                 continue
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             assert result.exactness is Exactness.EXACT
             for vec, value in zip(
                 _class_table(n).vectors, result.matrix.bounds
@@ -261,7 +262,7 @@ class TestProperties:
             sys = LinearSystem.from_constraints(cs, n)
             if not fm_feasible(sys):
                 continue
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             assert result.feasible
             for vec, value in zip(
                 _class_table(n).vectors, result.matrix.bounds
@@ -276,7 +277,7 @@ class TestProperties:
         for _ in range(10):
             n = rng.randint(1, 4)
             dbm = random_potential_dbm(rng, n)
-            result = close(from_dbm(dbm), subclass=Subclass.OCTAGON)
+            result = close(from_dbm(dbm))
             dist, negative = floyd_warshall(dbm)
             assert result.feasible == (not negative)
             if not negative:
@@ -297,7 +298,7 @@ class TestProperties:
                 random_general_constraint(rng, n, lo=-6, hi=6)
                 for _ in range(rng.randint(2, 6))
             ]
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             if result.feasible:
                 continue
             seen += 1
@@ -336,7 +337,7 @@ class TestRoundCapSystems:
     @pytest.mark.parametrize("name", sorted(ROUND_CAP_SYSTEMS))
     def test_stationary_sound_with_witness(self, name):
         cs, n = parse_constraints("\n".join(ROUND_CAP_SYSTEMS[name]))
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         assert result.feasible and result.stationary
         system = LinearSystem.from_constraints(cs, n)
         for vec, value in zip(_class_table(n).vectors, result.matrix.bounds):
@@ -352,7 +353,7 @@ class TestClosureLaws:
         cs, n = parse_constraints(
             "x1 - x2 <= 1\nx1 + x2 <= 4\nx2 - x1 <= 3\nx1 + x2 - x1 - x2 <= 9"
         )
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         assert result.feasible
         m = result.matrix
         np1 = n + 1
@@ -525,16 +526,16 @@ GENERATORS = {
 
 
 def differential_cases(seed, per_n):
-    """(label, matrix, subclass) over every generator and n = 1..4."""
+    """(label, matrix) over every generator and n = 1..4."""
     rng = random.Random(seed)
     for n in range(1, 5):
         for _ in range(per_n):
-            yield f"matrix n={n}", random_matrix(rng, n), None
+            yield f"matrix n={n}", random_matrix(rng, n)
             for name, make in GENERATORS.items():
                 cs = [make(rng, n) for _ in range(rng.randint(1, 2 * n))]
                 if rng.random() < 0.5:
                     cs += box_constraints(n, 12)
-                yield f"{name} n={n} {cs}", load(cs, n), classify(cs)
+                yield f"{name} n={n} {cs}", load(cs, n)
 
 
 class TestSemiNaiveRounds:
@@ -542,8 +543,8 @@ class TestSemiNaiveRounds:
 
     def test_close_matches_full_sweep_reference(self):
         stationary_seen = 0
-        for label, matrix, sub in differential_cases(seed=101, per_n=3):
-            result = close(matrix, subclass=sub)
+        for label, matrix in differential_cases(seed=101, per_n=3):
+            result = close(matrix)
             assert result.sweeps_used <= sweep_cap(matrix.n), label
             want, feasible, stationary = reference_close(matrix, cap=40)
             if not feasible:
@@ -552,7 +553,7 @@ class TestSemiNaiveRounds:
                 stationary_seen += 1
                 assert result.feasible and result.stationary, label
                 assert result.matrix == want, label
-            again = close(result.matrix, subclass=sub)
+            again = close(result.matrix)
             assert again.matrix == result.matrix, label
             assert again.sweeps_used == (1 if result.feasible else 0), label
         assert stationary_seen >= 40
@@ -560,8 +561,8 @@ class TestSemiNaiveRounds:
     def test_seeded_pin_matches_unseeded(self):
         rng = random.Random(103)
         compared = 0
-        for label, matrix, sub in differential_cases(seed=107, per_n=3):
-            base = close(matrix, subclass=sub)
+        for label, matrix in differential_cases(seed=107, per_n=3):
+            base = close(matrix)
             if not base.stationary:
                 continue
             n = matrix.n
@@ -578,8 +579,8 @@ class TestSemiNaiveRounds:
             trial.set_min(i, 0, 0, 0, value)
             trial.set_min(0, i, 0, 0, -value)
             np1 = n + 1
-            seeded = close(trial, subclass=sub, lowered=[(0, i * np1), (0, i)])
-            full = close(trial, subclass=sub)
+            seeded = close(trial, lowered=[(0, i * np1), (0, i)])
+            full = close(trial)
             assert seeded.feasible == full.feasible, label
             assert seeded.exactness is full.exactness, label
             assert seeded.stationary == full.stationary, label
@@ -631,12 +632,18 @@ class TestClassSumTable:
                         )
                         laws.add((*sorted(law1), v))
                         laws.add((*sorted(law2), v))
+            # rows are built on first read: read every class's row
+            uses = _sum_table(n)
             table = {
                 (*sorted((u, w)), v)
-                for u, pairs in enumerate(_sum_table(n))
-                for w, v in pairs
+                for u in range(len(_class_table(n).vectors))
+                for w, v in uses[u]
             }
             assert table == laws, n
+
+
+#: The box of the doubled-difference fixture, one row per line.
+DOUBLED_BOX = "x1 <= 3\n-x2 <= 1\nx2 <= 5\n-x1 <= 7\n"
 
 
 def octagon_cases(seed):
@@ -659,31 +666,89 @@ def octagon_cases(seed):
 
 
 class TestOctagonRoute:
-    """close(m, subclass=Subclass.OCTAGON) takes the strong closure and
-    split pass; close(m) runs the general rounds, the reference."""
+    """close(m) takes the strong closure and split pass when every
+    finite class of m is octagonal; reference_close, the cell-level full
+    sweeps, is the reference."""
 
     def test_matches_general_rounds(self):
         verdicts = set()
+        compared = 0
         for label, matrix in octagon_cases(seed=181):
-            route = close(matrix, subclass=Subclass.OCTAGON)
-            general = close(matrix)
-            assert route.feasible == general.feasible, label
+            route = close(matrix)
+            want, feasible, stationary = reference_close(matrix, cap=40)
+            assert route.feasible == feasible, label
             assert route.sweeps_used == 1, label
             assert route.stationary == route.feasible, label
             verdicts.add(route.feasible)
             if route.feasible:
-                assert general.stationary, label
+                assert stationary, label
                 assert route.exactness is Exactness.EXACT, label
-                assert route.matrix == general.matrix, label
+                assert route.matrix == want, label
+                compared += 1
             else:
+                assert route.exactness is Exactness.UPPER_APPROX, label
                 assert has_negative_zero_cell(route.matrix), label
         assert verdicts == {True, False}
+        assert compared >= 50  # 53 of the 72 cases at seed 181
+
+    def test_doubled_difference_closes_as_its_octagon(self):
+        """2x1 - 2x2 <= 4 is not an octagonal row, but the entry coupling
+        halves it into x1 - x2 <= 2: the loaded matrix is that octagon,
+        and it closes exactly, in one round, to the same matrix."""
+        doubled, n = parse_constraints(DOUBLED_BOX + "x1 + x1 - x2 - x2 <= 4")
+        plain, _ = parse_constraints(DOUBLED_BOX + "x1 - x2 <= 2")
+        assert classify(doubled) is Subclass.GENERAL
+        result = close(load(doubled, n))
+        assert result.feasible and result.stationary
+        assert result.sweeps_used == 1
+        assert result.exactness is Exactness.EXACT
+        assert result.matrix == close(load(plain, n)).matrix
+
+    def test_seeded_close_takes_the_route(self, monkeypatch):
+        cs, n = parse_constraints("x1 <= 4\nx2 - x1 <= 1\nx1 + x2 <= 5")
+        loaded = load(cs, n)
+        want = close(loaded)
+
+        def no_table(n):
+            raise LookupError("class-sum table built")
+
+        monkeypatch.setattr(closure_module, "_sum_table", no_table)
+        # the cell of x1 <= 4, as a witness pin passes it
+        seeded = close(loaded, lowered=[(0, n + 1)])
+        assert seeded.sweeps_used == 1 and seeded.stationary
+        assert seeded.exactness is Exactness.EXACT
+        assert seeded.matrix == want.matrix
+
+    def test_general_close_builds_no_octagon_layout(self, monkeypatch):
+        """The route test reads the per-n list of non-octagonal classes,
+        not the octagon layout, so a General close at an n no other close
+        used builds no layout."""
+
+        def no_layout(n):
+            raise LookupError("octagon layout built")
+
+        non_octagonal = closure_module._non_octagonal
+        read = []
+
+        def recording(n):
+            read.append(n)
+            return non_octagonal(n)
+
+        monkeypatch.setattr(closure_module, "_octagon_layout", no_layout)
+        monkeypatch.setattr(closure_module, "_non_octagonal", recording)
+        cs, n = parse_constraints("x1 + x7 - x2 <= 3\nx2 <= 2\n- x1 <= 4")
+        result = close(load(cs, n))
+        assert read == [7]
+        assert result.feasible and result.stationary
+        assert result.exactness is Exactness.UPPER_APPROX
+        # x7 <= 3 + x2 - x1 <= 3 + 2 + 4
+        assert result.matrix.get(7, 0, 0, 0) == 9
 
     def test_feasible_octagon_is_one_stationary_round(self):
         cs, n = parse_constraints(
             "x1 <= 4\nx1 >= -3\nx2 - x1 <= 1\nx1 + x2 <= 5\nx3 - x2 <= 2"
         )
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         assert result.feasible and result.stationary
         assert result.sweeps_used == 1
         assert result.exactness is Exactness.EXACT
@@ -700,25 +765,25 @@ class TestOctagonRoute:
             "x1 - x2 <= 1/2\nx2 + x3 <= 1\n- x3 - x1 <= -2"
         )
         assert classify(cs) is Subclass.OCTAGON
-        result = close(load(cs, n), subclass=Subclass.OCTAGON)
+        result = close(load(cs, n))
         assert not result.feasible and not result.stationary
         assert result.sweeps_used == 1
         assert result.exactness is Exactness.UPPER_APPROX
         assert has_negative_zero_cell(result.matrix)
-        again = close(result.matrix, subclass=Subclass.OCTAGON)
+        again = close(result.matrix)
         assert not again.feasible and again.sweeps_used == 0
         assert again.matrix == result.matrix
 
     def test_negative_zero_class_on_entry(self):
         cs, n = parse_constraints("x1 - x1 <= -1\nx1 <= 3")
-        result = close(load(cs, n), subclass=classify(cs))
+        result = close(load(cs, n))
         assert not result.feasible and not result.stationary
         assert result.sweeps_used == 0
 
     def test_no_round_under_max_sweeps_zero(self):
         cs, n = parse_constraints("x1 - x2 <= 1\nx2 <= 3\nx2 + x3 <= 0")
         loaded = load(cs, n)
-        result = close(loaded, subclass=Subclass.OCTAGON, max_sweeps=0)
+        result = close(loaded, max_sweeps=0)
         assert result.feasible and not result.stationary
         assert result.sweeps_used == 0
         assert result.exactness is Exactness.UPPER_APPROX

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from quadcsp.closure import classify, close
+from quadcsp.closure import close
 from quadcsp.core import INF, make_constraint, parse_constraints
 from quadcsp.matrix2d import load, new_matrix
 from oracles import cell_grid
@@ -25,7 +25,7 @@ from test_closure import reference_close
 def closed(text, **kwargs):
     cs, n = parse_constraints(text)
     matrix = load(cs, n)
-    return close(matrix, subclass=classify(cs), **kwargs), matrix
+    return close(matrix, **kwargs), matrix
 
 
 def assert_fraction_cells(matrix):
@@ -175,8 +175,8 @@ DIFFERENTIAL = settings(
 )
 
 
-def check_against_reference(matrix, subclass=None):
-    result = close(matrix, subclass=subclass)
+def check_against_reference(matrix):
+    result = close(matrix)
     assert_fraction_cells(result.matrix)
     want, feasible, stationary = reference_close(matrix, cap=25)
     if not feasible:
@@ -192,7 +192,7 @@ class TestDifferential:
     def test_constraint_sets(self, drawn):
         cs, n = drawn
         assume(cs)
-        check_against_reference(load(cs, n), classify(cs))
+        check_against_reference(load(cs, n))
 
     @DIFFERENTIAL
     @given(matrices())

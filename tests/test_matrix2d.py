@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadcsp.closure import classify, close
+from quadcsp.closure import close
 from quadcsp.core import INF, make_constraint, normal_vector, parse_constraints
 from quadcsp.matrix2d import load, new_matrix, to_constraints
 from gen import random_matrix
@@ -273,7 +273,7 @@ class TestScaledStorage:
                 n,
             ))
         for cs, n in cases:
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             finite = [b for b in result.matrix.bounds if b != INF]
             assert result.matrix.denom == math.lcm(
                 *(b.denominator for b in finite)

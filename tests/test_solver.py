@@ -8,7 +8,7 @@ import pytest
 
 import quadcsp.closure as closure_module
 import quadcsp.solver as solver_module
-from quadcsp.closure import Exactness, classify, close
+from quadcsp.closure import Exactness, close
 from quadcsp.core import INF, make_constraint, parse_constraints, satisfies
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_solution, fm_tight_bound
 from quadcsp.matrix2d import load, new_matrix
@@ -33,7 +33,7 @@ x1 <= 6
 def closed_matrix(text, n=None, extra=()):
     cs, n = parse_constraints(text, n)
     cs = list(cs) + list(extra)
-    result = close(load(cs, n), subclass=classify(cs))
+    result = close(load(cs, n))
     return result, cs, n
 
 
@@ -89,7 +89,7 @@ class TestExtractWitness:
             sys = LinearSystem.from_constraints(cs, n)
             if not fm_feasible(sys):
                 continue
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             nu = extract_witness(result, cs)
             assert all(satisfies(c, nu) for c in cs)
             objective = [0] * (n + 1)
@@ -124,7 +124,7 @@ class TestExtractWitness:
             cs = [
                 random_octagon_constraint(rng, n) for _ in range(rng.randint(1, 6))
             ] + box_constraints(n, 12)
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             if not result.feasible:
                 continue
             assert result.stationary
@@ -148,7 +148,7 @@ class TestExtractWitness:
             ]
             if done % 2:
                 cs += box_constraints(n, rng.randint(3, 12))
-            result = close(load(cs, n), subclass=classify(cs))
+            result = close(load(cs, n))
             if not result.feasible:
                 continue
             assert result.exactness is Exactness.EXACT
@@ -181,6 +181,25 @@ class TestExtractWitness:
         )
         with pytest.raises(LookupError, match="close called"):
             extract_witness(general, general_cs)
+
+    def test_doubled_difference_runs_no_pin_close(self, monkeypatch):
+        """A doubled difference 2x1 - 2x2 <= 4 loads as the octagon of
+        x1 - x2 <= 2, so solve reads the witness off its one close."""
+        original = solver_module.close
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("lowered"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "close", counting)
+        cs, n = parse_constraints(
+            "x1 <= 3\n-x2 <= 1\nx2 <= 5\n-x1 <= 7\nx1 + x1 - x2 - x2 <= 4"
+        )
+        report = solve(cs, n)
+        assert report.closed.exactness is Exactness.EXACT
+        assert calls == [None]
+        assert report.witness == (Fraction(0), Fraction(3), Fraction(5))
 
     def test_octagon_solve_builds_no_class_sum_table(self, monkeypatch):
         def no_table(n):
