@@ -3,7 +3,10 @@
 Variables range over the rationals; x0 is pinned to zero so single
 variables, plain differences, sums and three-variable forms are all the
 same shape with x0 in the unused slots.  The solver stores bounds in a
-pair-indexed matrix and tightens it by iterated min-plus composition.
+pair-indexed matrix, one per normal-vector class, and tightens it by
+iterated min-plus composition; a matrix whose finite classes are all
+octagonal is closed instead by strong closure on a 2n-node
+difference-bound matrix and one pass over the other classes' splits.
 Fourier-Motzkin elimination is its independent oracle: it cross-checks
 verdicts on request and backs witness pins the closure cannot settle.
 An infeasible verdict is explained by a simple hypercycle of negative

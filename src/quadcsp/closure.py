@@ -4,8 +4,10 @@ canonical form.
 The cell M[i,j,p,q] bounds a linear form with normal vector
 e_i - e_j - e_p + e_q, and the cells of one normal vector (a class)
 bound the same form, so the matrix stores, and the closure tightens,
-one bound per class (the layout is ``matrix2d._class_table``).  The two
-composition laws
+one bound per class.  ``matrix2d._class_table`` numbers the classes by
+their codes, the vectors' balanced base-9 digits; the entries of a sum
+of two class vectors lie in [-4, 4], so its code is the sum of theirs.
+The two composition laws
 
     M[i,j,p,q] <= M[i,j,k,l] + M[k,l,p,q]
     M[i,j,p,q] <= M[i,k,l,q] + M[k,j,p,l]
@@ -15,7 +17,8 @@ The pairs of classes they combine, in either order, are exactly the
 pairs (u, w) whose sum u + w = v is itself a class (the tests check this
 against both laws), so on classes they are one law,
 bound(v) <= bound(u) + bound(w), read from a per-n table that lists, for
-each class u, every such (w, v); a row is built when first read.  The
+each class u, every such (w, v), found by adding codes; a row is built
+when first read.  The
 doubled differences couple with the plain ones in both directions:
 bound(e_i - e_j) <= bound(2e_i - 2e_j) / 2, and the reverse doubling.
 
@@ -60,11 +63,14 @@ domain", HOSC 2006): Floyd-Warshall, where a negative diagonal is a
 derived 0 <= negative, then one strengthening pass
 m[a][b] <= (m[a][a-bar] + m[b-bar][b]) / 2, which over the rationals
 gives the strong closure (Bagnara, Hill & Zaffanella 2009).  The DBM
-holds the bounds doubled, so that the halving stays on ints.  Its cells
+holds the bounds doubled, so that the halving stays on ints.  Node +xk
+has the code of xk - x0, 9^k - 1, and node -xk its negation, so cell
+(a, b) is the class of node b's code minus node a's; the octagonal
+classes are these and both classes of each coupling.  The DBM's cells
 are written back to their classes, the coupling fills the others, and
 one pass lowers each non-octagonal class to the minimum over its splits
 u + w = v into two octagonal classes (3 for a class on four variables),
-listed per n from the class's own variables.  The strong closure is the
+listed per n by adding the codes of every pair.  The strong closure is the
 tight bound of every octagonal form, which is what the rounds reach on
 these classes.  Each split sum is one application of the law above, so
 the pass never goes below the rounds' fixpoint.  That one split always
@@ -82,7 +88,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .core import INF, Constraint4
@@ -162,29 +167,19 @@ def exactness_of(sub: Subclass) -> Exactness:
     return Exactness.UPPER_APPROX
 
 
-@lru_cache(maxsize=None)
-def _class_codes(n: int) -> tuple[int, ...]:
-    """The balanced base-9 code of each class vector.  The entries of a
-    sum or difference of two classes lie in [-4, 4], so its code is the
-    sum or difference of theirs."""
-    return tuple(
-        sum(x * 9**d for d, x in enumerate(vec))
-        for vec in _class_table(n).vectors
-    )
-
-
 class _SumRows(dict):
     """uses[u]: every (w, v) with class u + class w == class v, in the
-    class numbering of ``matrix2d._class_table``.  A row is built on its
-    first read and kept: ``_combine`` reads only the rows of finite,
-    lowered classes, often a small share of them."""
+    class numbering of ``matrix2d._class_table``, from the sum of their
+    codes.  A row is built on its first read and kept: ``_combine``
+    reads only the rows of finite, lowered classes, often a small share
+    of them."""
 
-    def __init__(self, codes: tuple[int, ...]):
+    def __init__(self, n: int):
         super().__init__()
-        self._codes = codes
-        self._index = {code: k for k, code in enumerate(codes)}
+        table = _class_table(n)
+        self._codes, self._index = table.codes, table.index
         # one int object per class, shared by every entry that names it
-        self._ids = list(range(len(codes)))
+        self._ids = list(range(len(table.codes)))
 
     def __missing__(self, u: int) -> tuple[tuple[int, int], ...]:
         index, cu = self._index, self._codes[u]
@@ -200,7 +195,7 @@ class _SumRows(dict):
 def _sum_table(n: int) -> _SumRows:
     """The class-sum rows at n (see ``_SumRows``), one table per n, so
     that a witness pin reuses the rows of the closes before it."""
-    return _SumRows(_class_codes(n))
+    return _SumRows(n)
 
 
 def _combine(
@@ -222,22 +217,29 @@ def _combine(
                     trace[v] = ("sum", u, w)
 
 
-def _is_octagonal(vec: tuple[int, ...]) -> bool:
-    """A +-xi +-xj or +-xi form (at most two units over x1..xn), or the
-    doubled class 2e_i - 2e_j of one; the zero vector is not."""
-    units = sum(map(abs, vec[1:]))
-    return 0 < units <= 2 or sorted(x for x in vec if x) == [-2, 2]
+def _nodes(n: int) -> list[int]:
+    """The code of each node of the 2n-node DBM: node 2k - 2 is +xk,
+    the code of xk - x0, and node 2k - 1 is -xk, its negation."""
+    return [s * (9**k - 1) for k in range(1, n + 1) for s in (1, -1)]
+
+
+@lru_cache(maxsize=None)
+def _octagonal(n: int) -> frozenset[int]:
+    """The octagonal classes: the +-xi +-xj forms of the DBM cells and
+    both classes of each coupling, which add +-xi and 2e_i - 2e_j."""
+    table = _class_table(n)
+    nodes = _nodes(n)
+    cells = [table.index[b - a] for a in nodes for b in nodes if a != b]
+    return frozenset(cells + [k for pair in table.couplings for k in pair])
 
 
 @lru_cache(maxsize=None)
 def _non_octagonal(n: int) -> tuple[int, ...]:
     """The classes that an octagon leaves at +inf: every class that is
     neither octagonal nor the zero class, in class order."""
-    return tuple(
-        k
-        for k, vec in enumerate(_class_table(n).vectors)
-        if any(vec) and not _is_octagonal(vec)
-    )
+    table = _class_table(n)
+    octagonal = _octagonal(n) | {table.zero}
+    return tuple(k for k in range(len(table.codes)) if k not in octagonal)
 
 
 @lru_cache(maxsize=None)
@@ -249,49 +251,25 @@ def _octagon_layout(n: int) -> tuple[tuple, tuple]:
     2i - 1 for V = -xi, and its mirror cell (b ^ 1, a ^ 1) bounds the
     same form.  ``splits`` lists (v, ((u, w), ...)) for each
     non-octagonal class v: its splits u + w = v into two octagonal
-    classes, each pair once.
+    classes, each pair once, found by adding the codes of every pair.
     """
-    vectors = _class_table(n).vectors
-    codes = _class_codes(n)
-    index = {vec: k for k, vec in enumerate(vectors)}
-
-    def cell(a: int, b: int) -> int:
-        vec = [0] * (n + 1)
-        vec[b // 2 + 1] += -1 if b & 1 else 1
-        vec[a // 2 + 1] -= -1 if a & 1 else 1
-        vec[0] = -sum(vec)
-        return index[tuple(vec)]
-
-    def support(vec: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(d for d in range(1, n + 1) if vec[d])
-
-    octagonal = {}  # code -> class
-    by_support: dict[tuple[int, ...], list[int]] = {}
-    for k, vec in enumerate(vectors):
-        if _is_octagonal(vec):
-            octagonal[codes[k]] = k
-            by_support.setdefault(support(vec), []).append(k)
-    # Two octagonal classes that cancel on a variable sum to an
-    # octagonal class, so both halves of a split lie on v's own
-    # variables: u runs over the octagonal classes on one or two of them.
-    splits = []
-    for v in _non_octagonal(n):
-        variables = support(vectors[v])
-        pairs = [
-            (u, w)
-            for size in (1, 2)
-            for sub in combinations(variables, size)
-            for u in by_support.get(sub, ())
-            if (w := octagonal.get(codes[v] - codes[u])) is not None and u <= w
-        ]
-        splits.append((v, tuple(pairs)))
+    table = _class_table(n)
+    nodes = _nodes(n)
+    splits: dict[int, list] = {v: [] for v in _non_octagonal(n)}
+    octagonal = [(k, table.codes[k]) for k in sorted(_octagonal(n))]
+    for a, (u, cu) in enumerate(octagonal):
+        for w, cw in octagonal[a:]:
+            if (v := table.index.get(cu + cw)) in splits:
+                splits[v].append((u, w))
     cells = {
-        (k := cell(a, b)): (k, a, b)
+        (k := table.index[nodes[b] - nodes[a]]): (k, a, b)
         for a in range(2 * n)
         for b in range(2 * n)
         if a != b
     }
-    return tuple(cells.values()), tuple(splits)
+    return tuple(cells.values()), tuple(
+        (v, tuple(pairs)) for v, pairs in splits.items()
+    )
 
 
 def _octagon_close(
@@ -498,8 +476,9 @@ def close(
     classes (see the module docstring); the first is seeded with every
     class.  ``lowered`` seeds it instead with the classes of the
     (row, col) cells lowered since ``matrix`` was last stationary, for
-    instance by a witness pin; the classes the initial coupling lowers
-    join it.  ``sweeps_used`` counts rounds.
+    instance by a witness pin (a cell out of range raises IndexError);
+    the classes the initial coupling lowers join it.  ``sweeps_used``
+    counts rounds.
 
     A matrix whose finite classes are all octagonal after the entry
     coupling takes the strong closure and split pass instead, seeded or
@@ -519,6 +498,11 @@ def close(
     # a zero-vector class already negative: no round runs
     feasible = bounds[layout.zero] >= 0
     cap = sweep_cap(n) if max_sweeps is None else max_sweeps
+    if lowered is None:
+        delta = range(len(bounds))
+    else:
+        delta = {matrix.class_of_cell(r, c) for r, c in lowered}
+        delta.update(trace)
     if (
         feasible
         and cap > 0
@@ -531,11 +515,6 @@ def close(
         feasible = bounds[layout.zero] >= 0
         return _result(n, bounds, denom, feasible, 1, feasible, feasible)
     uses = _sum_table(n)
-    if lowered is None:
-        delta = range(len(bounds))
-    else:
-        delta = {matrix.class_of_cell(r, c) for r, c in lowered}
-        delta.update(trace)
     sweeps = 0
     stationary = False
     recent: dict = {}

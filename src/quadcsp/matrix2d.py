@@ -6,11 +6,15 @@ The cell at row ``p*(n+1)+q``, column ``i*(n+1)+j`` of the
 columns are indexed by variable differences rather than variables.  Many
 index quadruples denote the same hyperplane direction (their normal
 vectors e_i - e_j - e_p + e_q coincide), so a matrix stores one bound
-per such class and every cell reads its class's bound.  A per-n table
-holds the layout: the class vectors, the class of each cell, the zero
-class and the couplings.  ``normalize`` applies the couplings: the bound
-of ``2xi - 2xj`` is exactly twice the bound of ``xi - xj``, enforced by
-mutual min in both directions.
+per such class and every cell reads its class's bound.  A class is named
+by its code 9^i - 9^j - 9^p + 9^q, the normal vector's balanced base-9
+digits (each in [-2, 2], x0 lowest), so the cell at (row, col) has the
+code of its column's difference minus its row's.  A per-n table numbers
+the codes in first-seen cell order, rows outer and columns inner, and
+holds the zero class and the couplings; it is the only map from a code
+or a cell to a class number.  ``normalize`` applies the couplings: the
+bound of ``2xi - 2xj`` is exactly twice the bound of ``xi - xj``,
+enforced by mutual min in both directions.
 
 Classes default to +inf ("no constraint"), except the zero normal vector,
 which starts at 0 (it bounds the constant functional 0).  The zero class
@@ -41,7 +45,8 @@ from .core import (
 )
 
 #: Hard cap on n.  A matrix stores one bound per class (3,191 at
-#: n = 10) and the layout table maps all (n+1)^4 cells to them.  The
+#: n = 10, 280,369 at n = 32), and the layout table numbers their codes
+#: from one pass over the (n+1)^4 cells (about 0.3 s at n = 32).  The
 #: closure's table of class sums u + w = v builds the row of a class on
 #: its first read, when that class is finite and lowered; all rows
 #: together hold about (n+1)^6 entries.  A round reads the rows of every
@@ -53,50 +58,45 @@ MAX_VARIABLES = 32
 
 @dataclass(frozen=True)
 class _ClassTable:
-    """Per-n layout: the normal-vector classes and the class of each cell."""
+    """Per-n layout: the normal-vector classes, each named by its code."""
 
-    #: the normal vector of each class, in first-seen quadruple order
-    vectors: tuple[tuple[int, ...], ...]
-    #: the class of each cell, at row * (n+1)^2 + col
-    cell_class: tuple[int, ...]
+    #: the code of each class, in first-seen cell order
+    codes: tuple[int, ...]
+    #: the class of each code
+    index: dict[int, int]
     #: the class of the zero normal vector
     zero: int
     #: (class of e_i - e_j, class of 2e_i - 2e_j) for i != j
     couplings: tuple[tuple[int, int], ...]
 
 
+def _diffs(n: int) -> list[int]:
+    """The code of xi - xj at row or column i*(n+1) + j."""
+    return [9**i - 9**j for i in range(n + 1) for j in range(n + 1)]
+
+
 @lru_cache(maxsize=None)
 def _class_table(n: int) -> _ClassTable:
-    np1 = n + 1
-    index: dict[tuple[int, ...], int] = {}
-    cell_class = []
-    for p in range(np1):
-        for q in range(np1):
-            for i in range(np1):
-                for j in range(np1):
-                    v = [0] * np1
-                    v[i] += 1
-                    v[j] -= 1
-                    v[p] -= 1
-                    v[q] += 1
-                    cell_class.append(index.setdefault(tuple(v), len(index)))
-
-    def unit(i: int, j: int, k: int) -> int:
-        v = [0] * np1
-        v[i], v[j] = k, -k
-        return index[tuple(v)]
-
+    diffs = _diffs(n)
+    # cell (row, col) bounds a form whose code is diffs[col] - diffs[row]
+    codes = tuple(dict.fromkeys([c - r for r in diffs for c in diffs]))
+    index = dict(zip(codes, range(len(codes))))
     return _ClassTable(
-        vectors=tuple(index),
-        cell_class=tuple(cell_class),
-        zero=index[(0,) * np1],
-        couplings=tuple(
-            (unit(i, j, 1), unit(i, j, 2))
-            for i in range(np1)
-            for j in range(np1)
-            if i != j
-        ),
+        codes=codes,
+        index=index,
+        zero=index[0],
+        couplings=tuple((index[d], index[2 * d]) for d in diffs if d),
     )
+
+
+def _vector(code: int, n: int) -> tuple[int, ...]:
+    """The normal vector of a code: its balanced base-9 digits, x0 first."""
+    vec = []
+    for _ in range(n + 1):
+        digit = (code + 4) % 9 - 4
+        vec.append(digit)
+        code = (code - digit) // 9
+    return tuple(vec)
 
 
 def _exact(b: Bound) -> Fraction | None:
@@ -178,14 +178,18 @@ class Matrix2D:
 
     def class_of_cell(self, row: int, col: int) -> int:
         """Index into ``bounds`` of the cell at (row, col)."""
-        return _class_table(self.n).cell_class[row * (self.n + 1) ** 2 + col]
+        size = (self.n + 1) ** 2
+        if not (0 <= row < size and 0 <= col < size):
+            raise IndexError(f"cell ({row}, {col}) out of range [0, {size})")
+        return self._class_of(*divmod(col, self.n + 1), *divmod(row, self.n + 1))
 
     def _class_of(self, i: int, j: int, p: int, q: int) -> int:
-        np1 = self.n + 1
-        for v in (i, j, p, q):
-            if not 0 <= v < np1:
-                raise IndexError(f"variable index {v} out of range [0, {self.n}]")
-        return self.class_of_cell(p * np1 + q, i * np1 + j)
+        n = self.n
+        if not (0 <= i <= n and 0 <= j <= n and 0 <= p <= n and 0 <= q <= n):
+            raise IndexError(
+                f"variable indices {(i, j, p, q)} out of range [0, {n}]"
+            )
+        return _class_table(n).index[9**i - 9**j - 9**p + 9**q]
 
     def get(self, i: int, j: int, p: int, q: int) -> Bound:
         """Bound of (xi - xj) - (xp - xq)."""
@@ -243,7 +247,7 @@ def new_matrix(n: int) -> Matrix2D:
             f"n={n} exceeds the supported maximum of {MAX_VARIABLES}"
         )
     table = _class_table(n)
-    scaled: list = [INF] * len(table.vectors)
+    scaled: list = [INF] * len(table.codes)
     scaled[table.zero] = 0
     return Matrix2D(n, scaled, 1)
 
@@ -269,11 +273,10 @@ def to_constraints(m: Matrix2D) -> list[Constraint4]:
     polyhedron as the matrix, deduplicated for oracle consumption.
     """
     out: list[Constraint4] = []
-    for vec, b in zip(_class_table(m.n).vectors, m.bounds):
-        if isinstance(b, float):
+    for code, b in zip(_class_table(m.n).codes, m.bounds):
+        if isinstance(b, float) or (code == 0 and b >= 0):
             continue
-        if not any(vec) and b >= 0:
-            continue
+        vec = _vector(code, m.n)
         positives = [k for k, v in enumerate(vec) if v > 0 for _ in range(v)]
         negatives = [k for k, v in enumerate(vec) if v < 0 for _ in range(-v)]
         out.append(make_constraint(positives, negatives, b))
@@ -286,18 +289,18 @@ def to_constraints(m: Matrix2D) -> list[Constraint4]:
 def to_json_obj(m: Matrix2D) -> dict:
     """{"n": int, "cells": [[row, col, "p/q"], ...]} of non-default cells,
     row by row; every cell of a class carries the class's bound."""
-    table = _class_table(m.n)
-    texts = [
-        None if isinstance(v, float) or (k == table.zero and v == 0)
-        else format_bound(v)
-        for k, v in enumerate(m.bounds)
-    ]
-    size = (m.n + 1) ** 2
+    texts = {
+        code: format_bound(v)
+        for code, v in zip(_class_table(m.n).codes, m.bounds)
+        if not (isinstance(v, float) or (code == 0 and v == 0))
+    }
+    diffs = _diffs(m.n)
     return {
         "n": m.n,
         "cells": [
-            [*divmod(cell, size), texts[k]]
-            for cell, k in enumerate(table.cell_class)
-            if texts[k] is not None
+            [row, col, text]
+            for row, r in enumerate(diffs)
+            for col, c in enumerate(diffs)
+            if (text := texts.get(c - r)) is not None
         ],
     }

@@ -9,6 +9,9 @@ a convenient way to build inputs:
   kernel has dimension 2 or more;
 - hyperpaths of a target constraint and their least weight
   (``simple_hyperpaths``, ``min_weight_bruteforce``);
+- the class layout built cell by cell from normal vectors
+  (``reference_layout``), against which the tests check the code-keyed
+  ``matrix2d._class_table``;
 - matrices built from a difference-bound matrix or read back from the
   JSON of ``to_json_obj`` (``from_dbm``, ``from_json``), and the
   infeasibility signal of a matrix (``has_negative_zero_cell``);
@@ -22,6 +25,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from quadcsp.core import (
@@ -232,6 +236,59 @@ def min_weight_bruteforce(
         if w < best:
             best = w
     return best
+
+
+# --- the class layout ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceLayout:
+    """The normal-vector classes and the class of each cell at one n."""
+
+    #: the normal vector of each class, in first-seen quadruple order
+    vectors: tuple[tuple[int, ...], ...]
+    #: the class of each cell, at row * (n+1)^2 + col
+    cell_class: tuple[int, ...]
+    #: the class of the zero normal vector
+    zero: int
+    #: (class of e_i - e_j, class of 2e_i - 2e_j) for i != j
+    couplings: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def reference_layout(n: int) -> ReferenceLayout:
+    """The layout from each cell's vector e_i - e_j - e_p + e_q, classes
+    numbered in first-seen order, rows outer and columns inner."""
+    np1 = n + 1
+    index: dict[tuple[int, ...], int] = {}
+    cell_class = []
+    for p in range(np1):
+        for q in range(np1):
+            for i in range(np1):
+                for j in range(np1):
+                    v = [0] * np1
+                    v[i] += 1
+                    v[j] -= 1
+                    v[p] -= 1
+                    v[q] += 1
+                    cell_class.append(index.setdefault(tuple(v), len(index)))
+
+    def unit(i: int, j: int, k: int) -> int:
+        v = [0] * np1
+        v[i], v[j] = k, -k
+        return index[tuple(v)]
+
+    return ReferenceLayout(
+        vectors=tuple(index),
+        cell_class=tuple(cell_class),
+        zero=index[(0,) * np1],
+        couplings=tuple(
+            (unit(i, j, 1), unit(i, j, 2))
+            for i in range(np1)
+            for j in range(np1)
+            if i != j
+        ),
+    )
 
 
 # --- matrices and literals ----------------------------------------------------

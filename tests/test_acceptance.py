@@ -16,7 +16,7 @@ from quadcsp.closure import Exactness, classify, close, exactness_of, sweep_cap
 from quadcsp.core import normal_vector, parse_constraints, satisfies
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_tight_bound
 from quadcsp.lindep import cycle_weight, enumerate_simple_hcycles
-from quadcsp.matrix2d import _class_table, load
+from quadcsp.matrix2d import load
 from quadcsp.solver import solve
 from gen import (
     box_constraints,
@@ -34,6 +34,7 @@ from reference import (
     is_simple,
     min_weight_bruteforce,
     positive_dependence,
+    reference_layout,
     unique_coeffs,
 )
 
@@ -66,15 +67,13 @@ def criterion(number: int, description: str):
 def _class_values(matrix):
     """(normal vector, value) per equivalence class, deduplicated; the
     value is +inf where the closure left the class unbounded."""
-    table = _class_table(matrix.n)
-    grid = cell_grid(matrix)
-    size = len(grid)
-    values = [set() for _ in table.vectors]
-    for cell, k in enumerate(table.cell_class):
-        r, c = divmod(cell, size)
-        values[k].add(grid[r][c])
+    vectors = reference_layout(matrix.n).vectors
+    values = [set() for _ in vectors]
+    for r, row in enumerate(cell_grid(matrix)):
+        for c, value in enumerate(row):
+            values[matrix.class_of_cell(r, c)].add(value)
     out = []
-    for vec, seen in zip(table.vectors, values):
+    for vec, seen in zip(vectors, values):
         assert len(seen) == 1, "class cells must agree after closure"
         out.append((vec, seen.pop()))
     return out

@@ -10,7 +10,6 @@ import quadcsp.closure as closure_module
 from quadcsp.closure import (
     Exactness,
     Subclass,
-    _is_octagonal,
     _octagon_layout,
     _sum_table,
     classify,
@@ -20,12 +19,7 @@ from quadcsp.closure import (
 )
 from quadcsp.core import parse_constraints, satisfies as satisfies_one
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_tight_bound
-from quadcsp.matrix2d import (
-    Matrix2D,
-    _class_table,
-    load,
-    new_matrix,
-)
+from quadcsp.matrix2d import Matrix2D, load, new_matrix
 from quadcsp.solver import solve
 from gen import (
     box_constraints,
@@ -37,7 +31,7 @@ from gen import (
     random_upper_bound_constraint,
 )
 from oracles import cell_grid, floyd_warshall, satisfies
-from reference import from_dbm, has_negative_zero_cell
+from reference import from_dbm, has_negative_zero_cell, reference_layout
 
 SEVEN = """
 x1 - x2 - x3 <= 3
@@ -220,7 +214,7 @@ class TestProperties:
             result = close(load(cs, n))
             assert result.feasible
             for vec, value in zip(
-                _class_table(n).vectors, result.matrix.bounds
+                reference_layout(n).vectors, result.matrix.bounds
             ):
                 if isinstance(value, float):
                     continue
@@ -241,7 +235,7 @@ class TestProperties:
             result = close(load(cs, n))
             assert result.exactness is Exactness.EXACT
             for vec, value in zip(
-                _class_table(n).vectors, result.matrix.bounds
+                reference_layout(n).vectors, result.matrix.bounds
             ):
                 if isinstance(value, float):
                     continue
@@ -265,7 +259,7 @@ class TestProperties:
             result = close(load(cs, n))
             assert result.feasible
             for vec, value in zip(
-                _class_table(n).vectors, result.matrix.bounds
+                reference_layout(n).vectors, result.matrix.bounds
             ):
                 if isinstance(value, float):
                     continue
@@ -340,7 +334,8 @@ class TestRoundCapSystems:
         result = close(load(cs, n))
         assert result.feasible and result.stationary
         system = LinearSystem.from_constraints(cs, n)
-        for vec, value in zip(_class_table(n).vectors, result.matrix.bounds):
+        vectors = reference_layout(n).vectors
+        for vec, value in zip(vectors, result.matrix.bounds):
             if not isinstance(value, float):
                 assert value >= fm_tight_bound(system, vec)
         witness = solve(cs, n).witness
@@ -613,8 +608,11 @@ class TestClassSumTable:
         for n in range(1, 6):
             np1 = n + 1
             size = np1 * np1
-            cell_class = _class_table(n).cell_class
-            cls = [cell_class[r * size : (r + 1) * size] for r in range(size)]
+            m = new_matrix(n)
+            cls = [
+                [m.class_of_cell(r, c) for c in range(size)]
+                for r in range(size)
+            ]
             # the index pattern of _sweep
             base = [k * np1 for k in range(np1)]
             laws = set()
@@ -636,7 +634,7 @@ class TestClassSumTable:
             uses = _sum_table(n)
             table = {
                 (*sorted((u, w)), v)
-                for u in range(len(_class_table(n).vectors))
+                for u in range(len(m.scaled))
                 for w, v in uses[u]
             }
             assert table == laws, n
@@ -790,15 +788,23 @@ class TestOctagonRoute:
         assert result.matrix == loaded
 
     def test_splits_are_every_octagonal_pair(self):
-        """The layout's splits of each non-octagonal class, enumerated
-        from its own variables, are exactly the unordered pairs of
-        octagonal classes that sum to it, found by scanning all pairs;
-        a class on four variables has 3."""
+        """The layout's splits of each non-octagonal class are exactly
+        the unordered pairs of octagonal classes whose vectors sum to
+        its vector; a class on four variables has 3.  The route's
+        octagonal classes are those of the digit rule below."""
+
+        def is_octagonal(vec):
+            # a +-xi +-xj or +-xi form (at most two units over x1..xn),
+            # or the doubled class 2e_i - 2e_j of one
+            units = sum(map(abs, vec[1:]))
+            return 0 < units <= 2 or sorted(x for x in vec if x) == [-2, 2]
+
         for n in range(1, 6):
-            vectors = _class_table(n).vectors
+            vectors = reference_layout(n).vectors
             octagonal = [
-                k for k, vec in enumerate(vectors) if _is_octagonal(vec)
+                k for k, vec in enumerate(vectors) if is_octagonal(vec)
             ]
+            assert closure_module._octagonal(n) == set(octagonal), n
             want: dict = {}
             for a, u in enumerate(octagonal):
                 for w in octagonal[a:]:
@@ -806,13 +812,13 @@ class TestOctagonRoute:
                     want.setdefault(vec, set()).add((u, w))
             _, splits = _octagon_layout(n)
             for v, pairs in splits:
-                assert not _is_octagonal(vectors[v]) and any(vectors[v])
+                assert not is_octagonal(vectors[v]) and any(vectors[v])
                 assert set(pairs) == want[vectors[v]], (n, vectors[v])
                 if sum(1 for x in vectors[v][1:] if x) == 4:
                     assert len(pairs) == 3
             listed = {v for v, _ in splits}
             others = {
                 k for k, vec in enumerate(vectors)
-                if any(vec) and not _is_octagonal(vec)
+                if any(vec) and not is_octagonal(vec)
             }
             assert listed == others, n

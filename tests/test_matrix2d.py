@@ -8,10 +8,16 @@ import pytest
 
 from quadcsp.closure import close
 from quadcsp.core import INF, make_constraint, normal_vector, parse_constraints
-from quadcsp.matrix2d import load, new_matrix, to_constraints
+from quadcsp.matrix2d import (
+    _class_table,
+    _vector,
+    load,
+    new_matrix,
+    to_constraints,
+)
 from gen import random_matrix
 from oracles import cell_grid
-from reference import from_dbm, from_json, to_json
+from reference import from_dbm, from_json, reference_layout, to_json
 
 # The running seven-constraint example: three multi-variable constraints
 # plus four single-variable upper bounds.
@@ -290,6 +296,39 @@ class TestScaledStorage:
         with pytest.raises(AttributeError):
             m.bounds = list(view)
         assert m.bounds == view
+
+
+class TestClassTable:
+    def test_matches_reference_layout(self):
+        """Classes numbered by code match the cell-by-cell vector layout:
+        the same numbering, zero class, couplings and class of each cell,
+        and each code decodes to its class's vector."""
+        for n in range(1, 9):
+            table, want = _class_table(n), reference_layout(n)
+            assert [_vector(code, n) for code in table.codes] == list(
+                want.vectors
+            ), n
+            assert table.index == {c: k for k, c in enumerate(table.codes)}
+            assert table.zero == want.zero
+            assert table.couplings == want.couplings
+            m = new_matrix(n)
+            size = (n + 1) ** 2
+            assert [
+                m.class_of_cell(row, col)
+                for row in range(size)
+                for col in range(size)
+            ] == list(want.cell_class), n
+
+    def test_cell_out_of_range(self):
+        m = new_matrix(2)
+        for row, col in [(0, 9), (-1, 0), (9, 0), (0, -1)]:
+            with pytest.raises(IndexError):
+                m.class_of_cell(row, col)
+        # a lowered cell is checked before its class seeds a round, on
+        # either route
+        for text in ["x1 + x1 - x2 <= 1\nx2 <= 3", "x1 - x2 <= 1\nx2 <= 3"]:
+            with pytest.raises(IndexError):
+                close(load(*parse_constraints(text)), lowered=[(0, 9)])
 
 
 class TestToConstraints:
