@@ -1,38 +1,52 @@
 """End-to-end pipeline: load, close, reduce domains, extract a witness.
 
-A witness pins x1, x2, ..., xn one at a time, each to the top of its
-interval as the pins before it cut it, so after n pins the solution set
-is a single valuation (unbounded variables, when a witness is forced,
-are first pinned to the point of their interval closest to 0).  The
-exactness tag of the closure picks one of two routes to the same pins.
+A witness is one pin chain in two passes over x1, x2, ..., xn.  When a
+witness is forced, pass 1 pins each unbounded variable to the point of
+its interval closest to 0; pass 2 pins each variable left to the top of
+its interval, so after n pins the solution set is a single valuation.
+A pin only narrows the intervals after it, so the first unbounded
+variable left is always a later one: one pass in index order pins the
+chain's sequence of them.  Both passes read xk's interval off the
+current matrix: its upper end is min(M[xk], M[xk - xj] + cj,
+M[xk + xj] - cj) over the pins xj = cj that the matrix does not hold,
+its lower end the mirror image.  A pin either goes into the matrix,
+which then re-closes, or only into that cut; two kinds of pin need no
+more than the cut.
 
-On an ``Exact`` closure (an input whose loaded matrix is an octagon;
-see closure.close) the pins are read off the closed matrix, with no
-closure at all.  Take the pinned set S and the next variable xk.
-Octagons are closed under projection, and a canonical form holds the
-tight bound of every octagonal form (Miné, "The octagon abstract
-domain", HOSC 2006), so the projection onto S and xk is the
-octagon of the closed bounds of the forms over at most two of those
-variables.  The pins so far lie in the projection onto S, so the fiber
-over them is a non-empty interval, cut only by the forms that contain
-xk: its upper end is min(M[xk], M[xk - xj] + cj, M[xk + xj] - cj) over
-the pins xj = cj, and its lower end the mirror image.  Re-closing the
-octagon plus the pins would give the same interval, exactly so.
+Every pin of an ``Exact`` closure (an input whose loaded matrix is an
+octagon; see closure.close) runs no close.  Take the pinned set S and
+the next variable xk.  Octagons are closed under projection, and a
+canonical form holds the tight bound of every octagonal form (Miné,
+"The octagon abstract domain", HOSC 2006), so the projection onto S and
+xk is the octagon of the closed bounds of the forms over at most two of
+those variables.  The pins so far lie in the projection onto S, so the
+fiber over them is a non-empty interval, cut only by the forms that
+contain xk: the interval read above.  Re-closing the octagon plus the
+pins would give the same interval, exactly so.
 
-On an ``UpperApprox`` closure reading bounds off the matrix would be
-unsound, so each pin adds xk <= hi and -xk <= -hi and re-closes.  There
-the closed bound may overshoot the true supremum, so a pin can make the
-system genuinely infeasible.  The closure detects this (its
+On any closure, a variable in no input constraint takes 0 with no close
+(the trivial component of Singh, Püschel & Vechev, "Making numerical
+program analysis fast", PLDI 2015).  Every class with a nonzero
+coefficient on it starts at +inf, and the closure derives a class with
+one only from classes with one, so it leaves them all +inf: the
+variable's interval is unbounded both ways, its pin cuts no other
+interval, and being 0 the pin reads the same in every ``denom`` a later
+re-close picks.
+
+Every other pin, on an ``UpperApprox`` closure where reading bounds off
+the matrix would be unsound, adds xk <= v and -xk <= -v and re-closes.
+There the closed bound may overshoot the true supremum, so a pin can
+make the system genuinely infeasible.  The closure detects this (its
 contradictions are always real) and the pin falls back to the oracle's
-exact supremum of that variable, which is attained, keeping the loop
-sound on every input.  The oracle runs on the input constraints plus the
-pins so far, the same polyhedron as the pinned matrix in far fewer rows.
-A pin lowers only the two cells of xk's bounds on a matrix that was
-stationary, so its re-close is seeded with their two classes (see
-closure.close) instead of every class.
+exact supremum of that variable (in pass 1, its point), which is
+attained, keeping the chain sound on every input.  The oracle runs on
+the input constraints plus the pins so far, the same polyhedron as the
+pinned matrix in far fewer rows.  A pin lowers only the two cells of
+xk's bounds on a matrix that was stationary, so its re-close is seeded
+with their two classes (see closure.close) instead of every class.
 
-On both routes ``solve`` checks the witness against every input
-constraint by exact substitution.
+``solve`` checks every witness against every input constraint by exact
+substitution.
 """
 
 from __future__ import annotations
@@ -42,14 +56,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .closure import ClosureResult, Exactness, close
-from .core import (
-    INF,
-    Bound,
-    Constraint4,
-    is_finite,
-    make_constraint,
-    satisfies,
-)
+from .core import Bound, Constraint4, is_finite, make_constraint, satisfies
 from .fmoracle import LinearSystem, fm_solution, fm_tight_bound
 from .matrix2d import Matrix2D, load
 
@@ -71,15 +78,27 @@ class SolveReport:
     witness: tuple[Fraction, ...] | None
 
 
+def _interval(m: Matrix2D, k: int, cut: dict[int, int]) -> tuple:
+    """xk's closed interval (lo, hi) on ``m``, cut by the pins xj = cj in
+    ``cut`` (see the module docstring).  Pins and finite ends are in
+    units of ``1 / m.denom``; an end with no bound is -inf or +inf."""
+    bound, cls = m.scaled, m._class_of
+    hi, neg_lo = bound[cls(k, 0, 0, 0)], bound[cls(0, k, 0, 0)]
+    for j, c in cut.items():
+        hi = min(hi, bound[cls(k, j, 0, 0)] + c, bound[cls(k, 0, 0, j)] - c)
+        neg_lo = min(
+            neg_lo, bound[cls(j, k, 0, 0)] - c, bound[cls(0, k, j, 0)] + c
+        )
+    return -neg_lo, hi
+
+
 def reduce_domains(closed: Matrix2D) -> tuple[Interval, ...]:
     """Per-variable interval [-M(0,i,0,0), M(i,0,0,0)] for i = 1..n."""
-    out = []
-    for i in range(1, closed.n + 1):
-        hi = closed.get(i, 0, 0, 0)
-        neg_lo = closed.get(0, i, 0, 0)
-        lo = -neg_lo if is_finite(neg_lo) else -INF
-        out.append((lo, hi))
-    return tuple(out)
+    d = closed.denom
+    return tuple(
+        tuple(b if not is_finite(b) else Fraction(b, d) for b in ends)
+        for ends in (_interval(closed, i, {}) for i in range(1, closed.n + 1))
+    )
 
 
 def _all_finite(domains: Sequence[Interval]) -> bool:
@@ -136,44 +155,6 @@ def _oracle_supremum(system: LinearSystem, i: int) -> Fraction:
     return hi
 
 
-def _read_off_witness(
-    m: Matrix2D, pin_unbounded_to_zero: bool
-) -> tuple[Fraction, ...]:
-    """The pins of an exact closure ``m``, read off its bounds in the
-    pin chain's order (see the module docstring).  Values stay in units
-    of ``1 / m.denom`` until the end."""
-    bound, cls = m.scaled, m._class_of
-    pins: dict[int, int] = {}
-
-    def interval(k: int) -> tuple:
-        """xk's closed interval cut by the pins so far."""
-        hi, neg_lo = bound[cls(k, 0, 0, 0)], bound[cls(0, k, 0, 0)]
-        for j, c in pins.items():
-            hi = min(hi, bound[cls(k, j, 0, 0)] + c, bound[cls(k, 0, 0, j)] - c)
-            neg_lo = min(
-                neg_lo, bound[cls(j, k, 0, 0)] - c, bound[cls(0, k, j, 0)] + c
-            )
-        return -neg_lo, hi
-
-    # A pin only narrows the intervals after it, so the first unbounded
-    # variable left is always a later one: one pass in index order pins
-    # the chain's sequence of them.
-    for k in range(1, m.n + 1):
-        lo, hi = interval(k)
-        if not (is_finite(lo) and is_finite(hi)):
-            if not pin_unbounded_to_zero:
-                raise ValueError(
-                    "system is unbounded; enable pin_unbounded_to_zero to force"
-                )
-            pins[k] = max(lo, min(hi, 0))
-    for k in range(1, m.n + 1):
-        if k not in pins:
-            pins[k] = interval(k)[1]
-            if not is_finite(pins[k]):
-                raise RuntimeError(f"internal error: x{k} is unbounded above")
-    return (Fraction(0), *(Fraction(pins[k], m.denom) for k in range(1, m.n + 1)))
-
-
 def extract_witness(
     result: ClosureResult,
     constraints: Sequence[Constraint4],
@@ -186,70 +167,71 @@ def extract_witness(
     and bounded unless ``pin_unbounded_to_zero`` is set, in which case
     each unbounded variable is first pinned to the point of its interval
     closest to 0 (oracle-assisted when the closed interval overshoots).
-    An ``Exact`` result gives its pins straight from its matrix; any
-    other re-closes once per pin (see the module docstring).  When
-    ``result`` is stationary the first pin re-closes from its pinned
-    cells only.  Oracle fallbacks run on ``constraints`` plus the pins so
-    far: the polyhedron of the pinned matrix, in far fewer rows than its
-    finite classes.  ``solve`` verifies the valuation by exact
-    substitution; this function does not.
+    A pin runs no close when ``result`` is ``Exact``, whose matrix it
+    reads exactly, or when the variable is in no input constraint, whose
+    pin is 0 and cuts nothing; any other pin re-closes (see the module
+    docstring).  When ``result`` is stationary the first re-close starts
+    from its pinned cells only.  Oracle fallbacks run on ``constraints``
+    plus the pins so far: the polyhedron of the pinned matrix, in far
+    fewer rows than its finite classes.  ``solve`` verifies the
+    valuation by exact substitution; this function does not.
 
     Raises RuntimeError when an oracle fallback does not yield an
     attainable value, which would be an internal error.
     """
     if not result.feasible:
         raise ValueError("cannot extract a witness from an infeasible matrix")
-    if result.exactness is Exactness.EXACT:
-        return _read_off_witness(result.matrix, pin_unbounded_to_zero)
     m, stationary = result.matrix, result.stationary
-    pins: list[tuple[int, Fraction]] = []
+    exact = result.exactness is Exactness.EXACT
+    occurring = {v for c in constraints for v in (c.i, c.j, c.p, c.q)}
+    cut: dict[int, int] = {}  # the pins m does not hold, over m.denom
+    pins: dict[int, Fraction] = {}
 
     def pin(
-        i: int,
-        value: Fraction,
+        k: int,
+        scaled: int,
         fallback: Callable[[LinearSystem, int], Fraction],
         what: str,
-    ) -> Fraction:
-        """Pin xi to ``value`` or, when the closure finds that
-        infeasible (a closed bound that overshoots is not attained), to
-        ``fallback(system, i)`` on the oracle's system; returns the value
-        pinned."""
+    ) -> None:
+        """Pin xk to ``scaled / m.denom``, into ``cut`` when no close is
+        needed; otherwise re-close, and when the closure finds the pin
+        infeasible (a closed bound that overshoots is not attained) pin
+        xk to ``fallback(system, k)`` on the oracle's system instead."""
         nonlocal m, stationary
-        trial = _pin(m, i, value, max_sweeps, stationary)
-        if not trial.feasible:
-            rows = [*constraints, *(c for p in pins for c in _pin_constraints(*p))]
-            value = fallback(LinearSystem.from_constraints(rows, m.n), i)
-            trial = _pin(m, i, value, max_sweeps, stationary)
+        value = Fraction(scaled, m.denom)
+        if exact or k not in occurring:
+            cut[k] = scaled
+        else:
+            trial = _pin(m, k, value, max_sweeps, stationary)
             if not trial.feasible:
-                raise RuntimeError(
-                    f"internal error: pinning x{i} to the oracle's "
-                    f"{what} {value} is infeasible"
-                )
-        m, stationary = trial.matrix, trial.stationary
-        pins.append((i, value))
-        return value
+                rows = [*constraints]
+                for p in pins.items():
+                    rows += _pin_constraints(*p)
+                value = fallback(LinearSystem.from_constraints(rows, m.n), k)
+                trial = _pin(m, k, value, max_sweeps, stationary)
+                if not trial.feasible:
+                    raise RuntimeError(
+                        f"internal error: pinning x{k} to the oracle's "
+                        f"{what} {value} is infeasible"
+                    )
+            m, stationary = trial.matrix, trial.stationary
+        pins[k] = value
 
-    # A pin only narrows intervals and every variable before it is
-    # bounded already, so the first unbounded variable left is always a
-    # later one: one pass in index order over the current matrix pins the
-    # chain's sequence of them.
-    for i in range(1, m.n + 1):
-        hi, neg_lo = m.get(i, 0, 0, 0), m.get(0, i, 0, 0)
-        if not (is_finite(hi) and is_finite(neg_lo)):
+    for k in range(1, m.n + 1):
+        lo, hi = _interval(m, k, cut)
+        if not (is_finite(lo) and is_finite(hi)):
             if not pin_unbounded_to_zero:
                 raise ValueError(
                     "system is unbounded; enable pin_unbounded_to_zero to force"
                 )
-            value = Fraction(max(-neg_lo, min(hi, Fraction(0))))
-            pin(i, value, _oracle_point, "point")
-
-    values: list[Fraction] = [Fraction(0)]
-    for i in range(1, m.n + 1):
-        hi = m.get(i, 0, 0, 0)
-        if not is_finite(hi):
-            raise RuntimeError(f"internal error: x{i} is unbounded above")
-        values.append(Fraction(pin(i, hi, _oracle_supremum, "supremum")))
-    return tuple(values)
+            pin(k, max(lo, min(hi, 0)), _oracle_point, "point")
+    for k in range(1, m.n + 1):
+        if k not in pins:
+            hi = _interval(m, k, cut)[1]
+            if not is_finite(hi):
+                raise RuntimeError(f"internal error: x{k} is unbounded above")
+            pin(k, hi, _oracle_supremum, "supremum")
+    return (Fraction(0), *(pins[k] for k in range(1, m.n + 1)))
 
 
 def solve(

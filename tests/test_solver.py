@@ -37,6 +37,19 @@ def closed_matrix(text, n=None, extra=()):
     return result, cs, n
 
 
+def count_closes(monkeypatch):
+    """The ``lowered`` argument of each ``solver.close`` call, from now on."""
+    original = solver_module.close
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("lowered"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "close", counting)
+    return calls
+
+
 class TestReduceDomains:
     def test_seven_system_x3_upper_end(self):
         result, _, _ = closed_matrix(SEVEN)
@@ -139,7 +152,7 @@ class TestExtractWitness:
         # UpperApprox, the same closure goes through the seeded pin
         # chain, and also through full re-closes when not stationary.
         rng = random.Random(97)
-        done = 0
+        done = sparse = 0
         while done < 240:
             n = rng.randint(1, 5)
             cs = [
@@ -148,9 +161,16 @@ class TestExtractWitness:
             ]
             if done % 2:
                 cs += box_constraints(n, rng.randint(3, 12))
+            if done % 3 == 2:
+                # rows over a random subset of the variables: the others
+                # occur in no row and take 0 with no close
+                keep = {0, *rng.sample(range(1, n + 1), rng.randint(1, n))}
+                cs = [c for c in cs if {c.i, c.j, c.p, c.q} <= keep]
             result = close(load(cs, n))
             if not result.feasible:
                 continue
+            occurring = {v for c in cs for v in (c.i, c.j, c.p, c.q)}
+            sparse += len(occurring - {0}) < n
             assert result.exactness is Exactness.EXACT
             seeded = dataclasses.replace(result, exactness=Exactness.UPPER_APPROX)
             full = dataclasses.replace(seeded, stationary=False)
@@ -165,6 +185,8 @@ class TestExtractWitness:
                 if not isinstance(witnesses[0], str):
                     assert all(satisfies(c, witnesses[0]) for c in cs)
             done += 1
+        # 79 of the 240 draws leave a variable out of every row
+        assert sparse >= 60
 
     def test_exact_witness_runs_no_closure(self, monkeypatch):
         exact, octagon_cs, _ = closed_matrix(OCTAGON_PINS)
@@ -185,14 +207,7 @@ class TestExtractWitness:
     def test_doubled_difference_runs_no_pin_close(self, monkeypatch):
         """A doubled difference 2x1 - 2x2 <= 4 loads as the octagon of
         x1 - x2 <= 2, so solve reads the witness off its one close."""
-        original = solver_module.close
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("lowered"))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solver_module, "close", counting)
+        calls = count_closes(monkeypatch)
         cs, n = parse_constraints(
             "x1 <= 3\n-x2 <= 1\nx2 <= 5\n-x1 <= 7\nx1 + x1 - x2 - x2 <= 4"
         )
@@ -200,6 +215,28 @@ class TestExtractWitness:
         assert report.closed.exactness is Exactness.EXACT
         assert calls == [None]
         assert report.witness == (Fraction(0), Fraction(3), Fraction(5))
+
+    def test_unbounded_pin_is_not_pinned_again(self, monkeypatch):
+        """x1 is unbounded below, so pass 1 pins it to 0 with one
+        re-close; pass 2 then pins x2 and x3 only: four closes in all."""
+        calls = count_closes(monkeypatch)
+        cs, n = parse_constraints(
+            "x1 - x2 - x3 <= 3\nx2 <= 1\nx3 >= 0\nx3 <= 2"
+        )
+        report = solve(cs, n, witness_anyway=True)
+        assert report.closed.exactness is Exactness.UPPER_APPROX
+        assert len(calls) == 4
+        assert report.witness == (0, 0, 1, 2)
+
+    def test_variable_in_no_constraint_runs_no_pin_close(self, monkeypatch):
+        """x3..x7 occur in no row (fixtures/sparse_general.txt): their
+        zero pins run no close, and x1, x2 and x8 one re-close each."""
+        calls = count_closes(monkeypatch)
+        cs, n = parse_constraints("x1 + x8 - x2 <= 3\nx2 <= 2\n-x1 <= 4")
+        report = solve(cs, n, witness_anyway=True)
+        assert report.closed.exactness is Exactness.UPPER_APPROX
+        assert len(calls) == 4
+        assert report.witness == (0,) * 9
 
     def test_octagon_solve_builds_no_class_sum_table(self, monkeypatch):
         def no_table(n):
