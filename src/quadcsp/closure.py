@@ -42,8 +42,9 @@ denominator (see ``matrix2d``): sums and comparisons of scaled bounds are
 those of the rationals they stand for.  Two steps scale every bound up:
 halving an odd doubled bound doubles the denominator, and an accepted
 acceleration jump whose values have denominator f (over it) multiplies
-it by f.  The jump's own linear solve stays on Fractions.  The result
-divides its denominator and bounds by their gcd.
+it by f.  The jump solves its policy on Fractions, one strongly
+connected component at a time.  The result divides its denominator and
+bounds by their gcd.
 
 Every update derives a valid consequence of the input constraints, so the
 result never under-approximates the true tightest bounds.  On octagon
@@ -337,7 +338,9 @@ def _octagon_close(
 # the policy fixpoint dominates the true limit), and a stationary result
 # reached from above through such jumps *is* the true limit, because the
 # greatest fixpoint below the starting matrix bounds every sound
-# stationary point from above.  The jump is attempted sparingly and
+# stationary point from above.  The policy's cycles span a few classes,
+# and the rest hangs acyclically below them, so it is solved one strongly
+# connected component at a time.  The jump is attempted sparingly and
 # verified by the next round; the cap still backstops everything.
 
 _ACCEL_START = 8
@@ -356,113 +359,109 @@ def _term_parts(term) -> list[tuple[int, Fraction]]:
     return [(arg, Fraction(2))]  # double
 
 
+def _components(nodes: Iterable, edges: dict) -> list[list]:
+    """The strongly connected components of the graph in which node v
+    has the successors ``edges[v]``, each listed after every component it
+    reaches: Tarjan's algorithm (SIAM J. Comput. 1972), iterative, since
+    a policy reaches about 900 classes at n = 12."""
+    index: dict = {}  # visit number; INF once the node's component is out
+    low: dict = {}
+    stack: list = []
+    out: list = []
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(edges[root]), len(stack))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        while work:
+            v, succ, height = work[-1]
+            for w in succ:
+                if w not in index:
+                    work.append((w, iter(edges[w]), len(stack)))
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] < index[v]:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                else:
+                    out.append(stack[height:])
+                    del stack[height:]
+                    index.update(dict.fromkeys(out[-1], INF))
+    return out
+
+
 def _policy_fixpoint(eqs: dict, bounds: list):
     """Exact fixpoint of a recorded affine policy, or None.
 
-    Variables determined acyclically from frozen classes are peeled off
-    by substitution; the remainder is solved densely.  Rejected unless
-    provably contracting and dominated by the current values: within the
-    remainder no doubling edge and no cycle among gain-1 edges, a unique
-    linear solution, and every component <= its current bound (jumps
-    must remain valid upper bounds).
+    The policy's strongly connected components are solved one at a time,
+    each after every component holding one of its arguments, whose
+    values it takes as constants: a class alone with no self-edge by
+    substitution, any other component densely on its own block.  In that
+    order I - A is block triangular, so it is invertible exactly when
+    each diagonal block is, and the blocks' solutions make up the one
+    solution of the dense system.
+
+    Rejected unless provably contracting and dominated by the current
+    values: ``core``, the cyclic components and every class that reaches
+    one, holds no doubling edge and no cycle of gain-1 edges; each block
+    has a unique solution; every value is <= its current bound (jumps
+    must remain valid upper bounds).  ``_ACCEL_MAX_VARS`` still caps all
+    of ``core``, the classes once solved as one dense system, so that no
+    policy rejected for its size turns into a jump.
     """
-    parts: dict = {}
-    consts: dict = {}
-    for cls, term in eqs.items():
-        ps = []
-        const = Fraction(0)
-        for arg, gain in _term_parts(term):
-            if arg in eqs:
-                ps.append((arg, gain))
-            else:
-                frozen = bounds[arg]
-                if frozen is INF:
-                    return None
-                const += gain * frozen
-        parts[cls] = ps
-        consts[cls] = const
+    parts = {cls: _term_parts(term) for cls, term in eqs.items()}
+    values = {  # the frozen arguments, then the policy's classes
+        a: bounds[a] for ps in parts.values() for a, _ in ps if a not in eqs
+    }
+    if INF in values.values():
+        return None
+    args = {cls: [a for a, _ in ps if a in eqs] for cls, ps in parts.items()}
+    order = _components(eqs, args)
+    core: set = set()
+    for comp in order:  # cyclic, or reaching a component already in core
+        ahead = args[comp[0]]
+        if len(comp) > 1 or comp[0] in ahead or not core.isdisjoint(ahead):
+            core.update(comp)
+    if len(core) > _ACCEL_MAX_VARS or any(
+        g > 1 and a in core for cls in core for a, g in parts[cls]
+    ):
+        return None
+    unit = {c: [a for a, g in parts[c] if g == 1 and a in core] for c in core}
+    if any(len(comp) > 1 for comp in _components(core, unit)):
+        return None  # a gain-1 cycle: not a contraction
 
-    # substitution pass: resolve classes with no unresolved arguments
-    resolved: dict = {}
-    deps = {cls: {arg for arg, _ in ps} for cls, ps in parts.items()}
-    users: dict = {}
-    for cls, ds in deps.items():
-        for d in ds:
-            users.setdefault(d, set()).add(cls)
-    ready = [cls for cls, ds in deps.items() if not ds]
-    while ready:
-        cls = ready.pop()
-        resolved[cls] = consts[cls] + sum(
-            (g * resolved[a] for a, g in parts[cls]), Fraction(0)
-        )
-        for user in users.get(cls, ()):
-            ds = deps[user]
-            ds.discard(cls)
-            if not ds and user not in resolved:
-                ready.append(user)
-
-    core = [cls for cls in eqs if cls not in resolved]
-    if core:
-        if len(core) > _ACCEL_MAX_VARS:
-            return None
-        index = {cls: k for k, cls in enumerate(core)}
-        m = len(core)
-        unit_adj: list[list[int]] = [[] for _ in range(m)]
-        for cls in core:
-            k = index[cls]
-            for arg, gain in parts[cls]:
-                a = index.get(arg)
-                if a is None:
-                    continue
-                if gain > 1:
-                    return None
-                if gain == 1:
-                    unit_adj[k].append(a)
-        state = [0] * m  # 0 new, 1 on stack, 2 done
-        for start in range(m):
-            if state[start]:
-                continue
-            stack = [(start, iter(unit_adj[start]))]
-            state[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state[nxt] == 1:
-                        return None  # gain-1 cycle: not a contraction
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(unit_adj[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-        a_mat = [[Fraction(0)] * m for _ in range(m)]
-        b_vec = [Fraction(0)] * m
-        for cls in core:
-            k = index[cls]
-            a_mat[k][k] += Fraction(1)
-            b_vec[k] = consts[cls]
-            for arg, gain in parts[cls]:
-                a = index.get(arg)
-                if a is None:
-                    b_vec[k] += gain * resolved[arg]
+    for comp in order:
+        cls = comp[0]
+        if len(comp) == 1 and cls not in args[cls]:
+            values[cls] = sum(
+                (g * values[a] for a, g in parts[cls]), Fraction(0)
+            )
+            continue
+        # the columns of [I - A | -b] on the block: it has a unique
+        # solution x iff their kernel is one line, through (x, 1)
+        m = len(comp)
+        index = {c: k for k, c in enumerate(comp)}
+        columns = [[Fraction(0)] * m for _ in range(m + 1)]
+        for c, k in index.items():
+            columns[k][k] += 1
+            for arg, gain in parts[c]:
+                if arg in index:
+                    columns[index[arg]][k] -= gain
                 else:
-                    a_mat[k][a] -= gain
-        # a_mat x = b_vec has a unique solution iff the kernel of
-        # [a_mat | -b_vec] is one line, off the last coordinate's zero
-        basis = _kernel_basis(list(zip(*a_mat)) + [[-v for v in b_vec]])
+                    columns[m][k] -= gain * values[arg]
+        basis = _kernel_basis(columns)
         if len(basis) != 1 or basis[0][m] == 0:
             return None
-        (kernel,) = basis
-        for cls, k in index.items():
-            resolved[cls] = kernel[k] / kernel[m]
+        values.update(zip(comp, (x / basis[0][m] for x in basis[0])))
 
-    for cls, value in resolved.items():
-        if value > bounds[cls]:
-            return None
-    return resolved
+    if any(values[cls] > bounds[cls] for cls in eqs):
+        return None
+    return {cls: values[cls] for cls in eqs}
 
 
 def close(

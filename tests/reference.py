@@ -15,7 +15,10 @@ a convenient way to build inputs:
 - matrices built from a difference-bound matrix or read back from the
   JSON of ``to_json_obj`` (``from_dbm``, ``from_json``), and the
   infeasibility signal of a matrix (``has_negative_zero_cell``);
-- ``parse_rational``, the reader of a single ``k`` or ``p/q`` literal.
+- ``parse_rational``, the reader of a single ``k`` or ``p/q`` literal;
+- ``reference_policy_fixpoint``, the acceleration's policy solved as one
+  dense system over every class that a substitution pass leaves, against
+  which the tests check ``closure._policy_fixpoint``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from quadcsp.closure import _ACCEL_MAX_VARS, _term_parts
 from quadcsp.core import (
     INF,
     Bound,
@@ -356,3 +360,115 @@ def parse_rational(text: str) -> Fraction:
             f"not a rational literal: {text!r} (use integers or p/q)"
         )
     return Fraction(_literal(text, text))
+
+
+# --- the acceleration policy, solved densely --------------------------------
+
+
+def reference_policy_fixpoint(eqs: dict, bounds: list):
+    """Exact fixpoint of a recorded affine policy, or None.
+
+    Variables determined acyclically from frozen classes are peeled off
+    by substitution; the remainder is solved densely.  Rejected unless
+    provably contracting and dominated by the current values: within the
+    remainder no doubling edge and no cycle among gain-1 edges, a unique
+    linear solution, and every component <= its current bound (jumps
+    must remain valid upper bounds).
+    """
+    parts: dict = {}
+    consts: dict = {}
+    for cls, term in eqs.items():
+        ps = []
+        const = Fraction(0)
+        for arg, gain in _term_parts(term):
+            if arg in eqs:
+                ps.append((arg, gain))
+            else:
+                frozen = bounds[arg]
+                if frozen is INF:
+                    return None
+                const += gain * frozen
+        parts[cls] = ps
+        consts[cls] = const
+
+    # substitution pass: resolve classes with no unresolved arguments
+    resolved: dict = {}
+    deps = {cls: {arg for arg, _ in ps} for cls, ps in parts.items()}
+    users: dict = {}
+    for cls, ds in deps.items():
+        for d in ds:
+            users.setdefault(d, set()).add(cls)
+    ready = [cls for cls, ds in deps.items() if not ds]
+    while ready:
+        cls = ready.pop()
+        resolved[cls] = consts[cls] + sum(
+            (g * resolved[a] for a, g in parts[cls]), Fraction(0)
+        )
+        for user in users.get(cls, ()):
+            ds = deps[user]
+            ds.discard(cls)
+            if not ds and user not in resolved:
+                ready.append(user)
+
+    core = [cls for cls in eqs if cls not in resolved]
+    if core:
+        if len(core) > _ACCEL_MAX_VARS:
+            return None
+        index = {cls: k for k, cls in enumerate(core)}
+        m = len(core)
+        unit_adj: list[list[int]] = [[] for _ in range(m)]
+        for cls in core:
+            k = index[cls]
+            for arg, gain in parts[cls]:
+                a = index.get(arg)
+                if a is None:
+                    continue
+                if gain > 1:
+                    return None
+                if gain == 1:
+                    unit_adj[k].append(a)
+        state = [0] * m  # 0 new, 1 on stack, 2 done
+        for start in range(m):
+            if state[start]:
+                continue
+            stack = [(start, iter(unit_adj[start]))]
+            state[start] = 1
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    if state[nxt] == 1:
+                        return None  # gain-1 cycle: not a contraction
+                    if state[nxt] == 0:
+                        state[nxt] = 1
+                        stack.append((nxt, iter(unit_adj[nxt])))
+                        advanced = True
+                        break
+                if not advanced:
+                    state[node] = 2
+                    stack.pop()
+        a_mat = [[Fraction(0)] * m for _ in range(m)]
+        b_vec = [Fraction(0)] * m
+        for cls in core:
+            k = index[cls]
+            a_mat[k][k] += Fraction(1)
+            b_vec[k] = consts[cls]
+            for arg, gain in parts[cls]:
+                a = index.get(arg)
+                if a is None:
+                    b_vec[k] += gain * resolved[arg]
+                else:
+                    a_mat[k][a] -= gain
+        # a_mat x = b_vec has a unique solution iff the kernel of
+        # [a_mat | -b_vec] is one line, off the last coordinate's zero
+        basis = _kernel_basis(list(zip(*a_mat)) + [[-v for v in b_vec]])
+        if len(basis) != 1 or basis[0][m] == 0:
+            return None
+        (kernel,) = basis
+        for cls, k in index.items():
+            resolved[cls] = kernel[k] / kernel[m]
+
+    for cls, value in resolved.items():
+        if value > bounds[cls]:
+            return None
+    return resolved

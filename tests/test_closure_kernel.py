@@ -6,19 +6,33 @@ way.  These tests check each rescaling path cell for cell (against the
 Fraction-only ``reference_close`` where that reaches stationarity, else
 against values pinned from the Fraction closure), that every result
 cell reads as a Fraction on every exit, and a hypothesis-drawn
-differential against ``reference_close``.
+differential against ``reference_close``.  They also check the
+acceleration's policy solve: its rejections on hand-built policies, its
+fixpoints against the dense ``reference_policy_fixpoint`` on every policy
+met on seeded boxed General draws, and the size of the blocks it solves.
 """
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from quadcsp.closure import close
+from quadcsp import closure
+from quadcsp.closure import (
+    _components,
+    _policy_fixpoint,
+    _term_parts,
+    close,
+)
 from quadcsp.core import INF, make_constraint, parse_constraints
+from quadcsp.lindep import _kernel_basis
 from quadcsp.matrix2d import load, new_matrix
+from gen import box_constraints, random_general_constraint
 from oracles import cell_grid
-from reference import from_json
+from reference import from_json, reference_policy_fixpoint
 from test_closure import reference_close
 
 
@@ -198,3 +212,162 @@ class TestDifferential:
     @given(matrices())
     def test_matrices(self, matrix):
         check_against_reference(matrix)
+
+
+# -- the acceleration's policy -----------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ACCELERATED = FIXTURES / "accelerated_general.txt"
+
+
+def plus(u, w):
+    return ("sum", u, w)
+
+
+def half(c):
+    return ("half", c)
+
+
+def double(c):
+    return ("double", c)
+
+
+def policy_bounds(frozen):
+    """Bounds of 8 classes: +inf, except the ``frozen`` values."""
+    out = [INF] * 8
+    for cls, value in frozen.items():
+        out[cls] = value
+    return out
+
+
+class TestPolicyFixpoint:
+    """``_policy_fixpoint`` on hand-built policies: each class maps to its
+    term, and ``bounds`` holds the frozen values (classes outside the
+    policy).  Every rejection keeps the rounds going instead of a jump."""
+
+    @pytest.mark.parametrize(
+        "eqs, frozen, want",
+        [
+            # x0 = x1 + x2, x1 = x0 + x3: a gain-1 cycle
+            ({0: plus(1, 2), 1: plus(0, 3)}, {2: -1, 3: -1}, None),
+            # x0 = x1 + x2 with x1 = x2 = x0 / 2: no unique solution
+            ({0: plus(1, 2), 1: half(0), 2: half(0)}, {}, None),
+            # a doubling into a cycle from outside it: the rule covers all
+            # of core, the cycles and every class that reaches one
+            ({0: plus(1, 3), 1: half(0), 2: double(1)}, {3: -1}, None),
+            ({0: plus(1, 3), 1: half(0)}, {3: -1}, {0: -2, 1: -1}),
+            # two cycles, each solved on its own, and a sum of both below
+            (
+                {
+                    0: plus(1, 4),
+                    1: half(0),
+                    2: plus(3, 4),
+                    3: half(2),
+                    5: plus(0, 2),
+                },
+                {4: -1},
+                {0: -2, 1: -1, 2: -2, 3: -1, 5: -4},
+            ),
+            # a frozen argument at +inf
+            ({0: plus(1, 3), 1: half(0)}, {}, None),
+            # a value above its current bound: x0 = -2 > -3
+            ({0: plus(1, 3), 1: half(0)}, {0: -3, 3: -1}, None),
+            # a doubling inside a cycle
+            ({0: double(1), 1: plus(0, 2)}, {2: -1}, None),
+        ],
+    )
+    def test_hand_built(self, eqs, frozen, want):
+        bounds = policy_bounds(frozen)
+        assert _policy_fixpoint(eqs, bounds) == want
+        assert reference_policy_fixpoint(eqs, bounds) == want
+
+    def test_each_cycle_is_solved_on_its_own_block(self, monkeypatch):
+        # The fixture's one accepted policy has 32 equations and two
+        # cyclic components of 4 classes; every other class is
+        # substituted, so the solve never builds a 32 x 32 system.
+        sizes = []
+
+        def recording(columns):
+            sizes.append(len(columns) - 1)
+            return _kernel_basis(columns)
+
+        monkeypatch.setattr(closure, "_kernel_basis", recording)
+        result, _ = closed(ACCELERATED.read_text())
+        assert result.stationary and result.sweeps_used == 9
+        assert sizes == [4, 4]
+
+
+def reach_sets(succ):
+    """Each node's set of nodes reachable by one or more edges."""
+    reaches = {}
+    for start in succ:
+        seen, todo = set(), [start]
+        while todo:
+            for nxt in set(succ[todo.pop()]) - seen:
+                seen.add(nxt)
+                todo.append(nxt)
+        reaches[start] = seen
+    return reaches
+
+
+def largest_cycle(eqs):
+    """The number of classes in the policy graph's largest strongly
+    connected component with an edge inside it (0 when acyclic)."""
+    reaches = reach_sets(
+        {
+            cls: [arg for arg, _ in _term_parts(term) if arg in eqs]
+            for cls, term in eqs.items()
+        }
+    )
+    return max(
+        sum(1 for other in reach if cls in reaches[other])
+        for cls, reach in reaches.items()
+    )
+
+
+class TestComponents:
+    def test_random_graphs(self):
+        # Each component is a maximal set of mutually reachable nodes,
+        # and every component a node reaches is listed before its own.
+        rng = random.Random(1972)
+        for _ in range(300):
+            size = rng.randint(1, 12)
+            succ = {
+                v: [rng.randrange(size) for _ in range(rng.randint(0, 3))]
+                for v in range(size)
+            }
+            reaches = reach_sets(succ)
+            comps = _components(range(size), succ)
+            assert sorted(sum(comps, [])) == list(range(size))
+            listed: set = set()
+            for comp in comps:
+                for v in comp:
+                    mutual = {w for w in reaches[v] if v in reaches[w]}
+                    assert set(comp) == mutual | {v}
+                    assert reaches[v] <= listed | set(comp)
+                listed.update(comp)
+
+
+class TestPolicyDifferential:
+    def test_boxed_general_draws(self, monkeypatch):
+        # Every policy that the closes of these draws try must give the
+        # dense reference's fixpoint (or rejection) exactly.
+        met = []
+
+        def checked(eqs, bounds):
+            got = _policy_fixpoint(eqs, bounds)
+            assert got == reference_policy_fixpoint(eqs, bounds)
+            met.append(eqs)
+            return got
+
+        monkeypatch.setattr(closure, "_policy_fixpoint", checked)
+        for n in (4, 5, 6):
+            for seed in range(30):
+                rng = random.Random(7000 + 100 * n + seed)
+                rows = [
+                    random_general_constraint(rng, n, 0, 10)
+                    for _ in range(2 * n)
+                ]
+                close(load(rows + box_constraints(n, 12), n))
+        assert len(met) >= 20
+        assert max(largest_cycle(eqs) for eqs in met) >= 5
