@@ -340,12 +340,20 @@ def _octagon_close(
 # greatest fixpoint below the starting matrix bounds every sound
 # stationary point from above.  The policy's cycles span a few classes,
 # and the rest hangs acyclically below them, so it is solved one strongly
-# connected component at a time.  The jump is attempted sparingly and
-# verified by the next round; the cap still backstops everything.
+# connected component at a time.  The policy is the last term of each
+# class lowered in the last _ACCEL_EVERY rounds, so that a feedback loop
+# spread over several rounds (three halvings, say) is solved whole.  The
+# jump is attempted sparingly and verified by the next round; the cap
+# still backstops everything.  Earlier jumps save rounds but cost time:
+# over 900 general-solve instances of seeds 1-5 and 60 boxed General
+# draws at n = 6 and 8, closed once each, a start/period of 8/4 took
+# 2.80 s and 3,730 rounds, 4/2 took 3.61 s and 3,067 rounds, and 2/1
+# 5.82 s and 2,809 rounds, with the same verdicts and stationary
+# matrices; only sweeps_used moved (on 183 and 233 of the 960 closes),
+# which v1 output prints.
 
 _ACCEL_START = 8
 _ACCEL_EVERY = 4
-_ACCEL_MAX_VARS = 1200
 
 
 def _term_parts(term) -> list[tuple[int, Fraction]]:
@@ -407,12 +415,11 @@ def _policy_fixpoint(eqs: dict, bounds: list):
     solution of the dense system.
 
     Rejected unless provably contracting and dominated by the current
-    values: ``core``, the cyclic components and every class that reaches
-    one, holds no doubling edge and no cycle of gain-1 edges; each block
-    has a unique solution; every value is <= its current bound (jumps
-    must remain valid upper bounds).  ``_ACCEL_MAX_VARS`` still caps all
-    of ``core``, the classes once solved as one dense system, so that no
-    policy rejected for its size turns into a jump.
+    values: each block holds no doubling edge and no cycle of gain-1
+    edges (a cycle lies inside one component) and has a unique solution,
+    and every value is <= its current bound (jumps must remain valid
+    upper bounds).  A substituted class converges once its arguments do,
+    whatever its gains.
     """
     parts = {cls: _term_parts(term) for cls, term in eqs.items()}
     values = {  # the frozen arguments, then the policy's classes
@@ -421,31 +428,24 @@ def _policy_fixpoint(eqs: dict, bounds: list):
     if INF in values.values():
         return None
     args = {cls: [a for a, _ in ps if a in eqs] for cls, ps in parts.items()}
-    order = _components(eqs, args)
-    core: set = set()
-    for comp in order:  # cyclic, or reaching a component already in core
-        ahead = args[comp[0]]
-        if len(comp) > 1 or comp[0] in ahead or not core.isdisjoint(ahead):
-            core.update(comp)
-    if len(core) > _ACCEL_MAX_VARS or any(
-        g > 1 and a in core for cls in core for a, g in parts[cls]
-    ):
-        return None
-    unit = {c: [a for a, g in parts[c] if g == 1 and a in core] for c in core}
-    if any(len(comp) > 1 for comp in _components(core, unit)):
-        return None  # a gain-1 cycle: not a contraction
-
-    for comp in order:
+    for comp in _components(eqs, args):
         cls = comp[0]
         if len(comp) == 1 and cls not in args[cls]:
             values[cls] = sum(
                 (g * values[a] for a, g in parts[cls]), Fraction(0)
             )
             continue
+        index = {c: k for k, c in enumerate(comp)}
+        if any(g > 1 and a in index for c in comp for a, g in parts[c]):
+            return None  # a doubling edge: not a contraction
+        unit = {
+            c: [a for a, g in parts[c] if g == 1 and a in index] for c in comp
+        }
+        if any(len(cycle) > 1 for cycle in _components(comp, unit)):
+            return None  # a gain-1 cycle: not a contraction
         # the columns of [I - A | -b] on the block: it has a unique
         # solution x iff their kernel is one line, through (x, 1)
         m = len(comp)
-        index = {c: k for k, c in enumerate(comp)}
         columns = [[Fraction(0)] * m for _ in range(m + 1)]
         for c, k in index.items():
             columns[k][k] += 1
@@ -516,7 +516,7 @@ def close(
     uses = _sum_table(n)
     sweeps = 0
     stationary = False
-    recent: dict = {}
+    pending: dict = {}
     while feasible and sweeps < cap:
         sweeps += 1
         trace = {}
@@ -529,18 +529,10 @@ def close(
             stationary = True
             break
         delta = set(trace)
-        for cls, term in trace.items():
-            recent[cls] = (sweeps, term)
-        if sweeps >= _ACCEL_START and sweeps % _ACCEL_EVERY == 0:
-            # the policy: each class lowered in the last 4 rounds, with
-            # its last term, so that a feedback loop spread over several
-            # rounds (three halvings, say) is solved whole
-            eqs = {
-                cls: term
-                for cls, (step, term) in recent.items()
-                if step > sweeps - 4
-            }
-            jump = _policy_fixpoint(eqs, bounds)
+        pending.update(trace)
+        if sweeps % _ACCEL_EVERY == 0:
+            eqs, pending = pending, {}
+            jump = sweeps >= _ACCEL_START and _policy_fixpoint(eqs, bounds)
             if jump:
                 lower = {
                     cls: value

@@ -18,7 +18,9 @@ a convenient way to build inputs:
 - ``parse_rational``, the reader of a single ``k`` or ``p/q`` literal;
 - ``reference_policy_fixpoint``, the acceleration's policy solved as one
   dense system over every class that a substitution pass leaves, against
-  which the tests check ``closure._policy_fixpoint``.
+  which the tests check ``closure._policy_fixpoint``.  It keeps the
+  older admission rule (no doubling edge anywhere in that remainder) and
+  its size cap.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from quadcsp.closure import _ACCEL_MAX_VARS, _term_parts
+from quadcsp.closure import _term_parts
 from quadcsp.core import (
     INF,
     Bound,
@@ -363,6 +365,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 # --- the acceleration policy, solved densely --------------------------------
+
+#: The largest remainder the dense solve takes on; a larger one rejects.
+_ACCEL_MAX_VARS = 1200
 
 
 def reference_policy_fixpoint(eqs: dict, bounds: list):

@@ -229,6 +229,11 @@ class TestMainEntry:
         f = tmp_path / "ok.txt"
         f.write_text("x1 <= 1\n")
         assert main(["check", str(f), "--max-sweeps", "0"]) == EXIT_USAGE
+        assert "--max-sweeps must be positive" in assert_one_error_line(capsys)
+        assert main(["explain", str(f), "--max-cycle-size", "0"]) == EXIT_USAGE
+        assert "--max-cycle-size must be positive" in assert_one_error_line(
+            capsys
+        )
 
     def test_main_runs_check(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"

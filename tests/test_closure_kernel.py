@@ -252,9 +252,9 @@ class TestPolicyFixpoint:
             ({0: plus(1, 2), 1: plus(0, 3)}, {2: -1, 3: -1}, None),
             # x0 = x1 + x2 with x1 = x2 = x0 / 2: no unique solution
             ({0: plus(1, 2), 1: half(0), 2: half(0)}, {}, None),
-            # a doubling into a cycle from outside it: the rule covers all
-            # of core, the cycles and every class that reaches one
-            ({0: plus(1, 3), 1: half(0), 2: double(1)}, {3: -1}, None),
+            # x0 = x1 + x1, x1 = x0 / 2: u + u doubles u, and inside a
+            # cycle that is a doubling edge
+            ({0: plus(1, 1), 1: half(0)}, {}, None),
             ({0: plus(1, 3), 1: half(0)}, {3: -1}, {0: -2, 1: -1}),
             # two cycles, each solved on its own, and a sum of both below
             (
@@ -274,12 +274,25 @@ class TestPolicyFixpoint:
             ({0: plus(1, 3), 1: half(0)}, {0: -3, 3: -1}, None),
             # a doubling inside a cycle
             ({0: double(1), 1: plus(0, 2)}, {2: -1}, None),
+            # u + u of a frozen class, substituted: a constant
+            ({0: plus(1, 1)}, {1: -1}, {0: -2}),
         ],
     )
     def test_hand_built(self, eqs, frozen, want):
         bounds = policy_bounds(frozen)
         assert _policy_fixpoint(eqs, bounds) == want
         assert reference_policy_fixpoint(eqs, bounds) == want
+
+    @pytest.mark.parametrize("below", [double(1), plus(1, 1)])
+    def test_doubling_below_a_cycle(self, below):
+        # Only the blocks must contract: x2 = 2 x1, substituted after the
+        # cycle, converges once the cycle does.  The dense reference
+        # keeps the older rule, no doubling edge on any class that
+        # reaches a cycle, and rejects the policy.
+        eqs = {0: plus(1, 3), 1: half(0), 2: below}
+        bounds = policy_bounds({3: -1})
+        assert _policy_fixpoint(eqs, bounds) == {0: -2, 1: -1, 2: -2}
+        assert reference_policy_fixpoint(eqs, bounds) is None
 
     def test_each_cycle_is_solved_on_its_own_block(self, monkeypatch):
         # The fixture's one accepted policy has 32 equations and two

@@ -299,6 +299,26 @@ x4 + x2 - x3 - x1 <= 9
 """
 
 
+# Pinning x1 to the top of its interval closes feasibly, but pinning x2
+# to the top of its closed interval [-6, 35/4] then overshoots: the
+# supremum's oracle runs after an earlier pin.
+PINNED_OVERSHOOT = [
+    "x1 <= 7",
+    "x1 >= -6",
+    "x2 <= 10",
+    "x2 >= -9",
+    "x3 <= 1",
+    "x3 >= -5",
+    "x4 <= 10",
+    "x4 >= -5",
+    "x3 + x2 - x1 - x4 <= 0",
+    "x4 - x3 - x1 <= 11",
+    "x4 - x3 - x2 <= 0",
+    "x4 + x2 - x1 <= 0",
+    "x2 - x3 - x1 <= 2",
+]
+
+
 class TestOracleFallback:
     def test_fallback_runs_on_input_rows_and_pins(self, monkeypatch):
         systems = []
@@ -315,6 +335,35 @@ class TestOracleFallback:
         assert len(systems) == 1
         # the input rows plus the two that fix x0 = 0; no pin precedes x1
         assert len(systems[0].rows) <= len(cs) + 2
+
+    def test_fallback_after_a_pin_holds_the_pin(self, monkeypatch):
+        calls = []
+        original = solver_module.fm_tight_bound
+
+        def recording(system, objective):
+            calls.append((system, objective))
+            return original(system, objective)
+
+        monkeypatch.setattr(solver_module, "fm_tight_bound", recording)
+        cs, n = parse_constraints("\n".join(PINNED_OVERSHOOT))
+        report = solve(cs, n)
+        assert report.domains[1] == (-6, Fraction(35, 4))
+        assert report.witness == (
+            0,
+            7,
+            Fraction(23, 3),
+            Fraction(-4, 3),
+            Fraction(-2, 3),
+        )
+        [(system, objective)] = calls
+        assert objective == [0, 0, 1, 0, 0]
+        # the two rows that fix x0 = 0, the 13 input rows and the pin
+        # x1 = 7, as x1 - x0 <= 7 and x0 - x1 <= -7
+        assert len(system.rows) == 17
+        assert system.rows[-2:] == (
+            ((-1, 1, 0, 0, 0), 7),
+            ((1, -1, 0, 0, 0), -7),
+        )
 
     def test_row_budget_case_solves(self):
         cs, n = parse_constraints(ROW_BUDGET_CASE)
