@@ -7,11 +7,13 @@ its interval, so after n pins the solution set is a single valuation.
 A pin only narrows the intervals after it, so the first unbounded
 variable left is always a later one: one pass in index order pins the
 chain's sequence of them.  Both passes read xk's interval off the
-current matrix: its upper end is min(M[xk], M[xk - xj] + cj,
+current matrix (the last two top pins of an ``UpperApprox`` closure
+aside, see below): its upper end is min(M[xk], M[xk - xj] + cj,
 M[xk + xj] - cj) over the pins xj = cj that the matrix does not hold,
 its lower end the mirror image.  A pin either goes into the matrix,
 which then re-closes, or only into that cut; two kinds of pin need no
-more than the cut.
+more than the cut, and on an ``UpperApprox`` closure a third kind
+needs neither.
 
 Every pin of an ``Exact`` closure (an input whose loaded matrix is an
 octagon; see closure.close) runs no close.  Take the pinned set S and
@@ -33,17 +35,39 @@ variable's interval is unbounded both ways, its pin cuts no other
 interval, and being 0 the pin reads the same in every ``denom`` a later
 re-close picks.
 
-Every other pin, on an ``UpperApprox`` closure where reading bounds off
-the matrix would be unsound, adds xk <= v and -xk <= -v and re-closes.
-There the closed bound may overshoot the true supremum, so a pin can
-make the system genuinely infeasible.  The closure detects this (its
-contradictions are always real) and the pin falls back to the oracle's
-exact supremum of that variable (in pass 1, its point), which is
-attained, keeping the chain sound on every input.  The oracle runs on
-the input constraints plus the pins so far, the same polyhedron as the
-pinned matrix in far fewer rows.  A pin lowers only the two cells of
-xk's bounds on a matrix that was stationary, so its re-close is seeded
-with their two classes (see closure.close) instead of every class.
+On an ``UpperApprox`` closure reading bounds off the matrix would be
+unsound: a closed bound may overshoot the true supremum, so a pin can
+make the system genuinely infeasible, and every pin of a variable in
+some input row is checked.  A top pin that leaves at most two such
+variables unpinned, xa < xb, is checked on the input rows alone, with
+no close.  With every pin substituted, each row reads
+a * xa + b * xb <= r; pairing each row where b > 0 with each where
+b < 0 eliminates xb, one Fourier-Motzkin step (Dantzig & Eaves,
+"Fourier-Motzkin elimination and its dual", J. Comb. Theory A, 1973),
+and elimination projects exactly.  So the rows left give xa's exact
+interval given the pins: empty exactly when the pin is infeasible, and
+topped by xa's supremum, which xa's pin then takes without reading the
+matrix; xb's top given xa comes from the rows in the same way.  Each
+of the last two top pins is thus the exact supremum of its variable
+given the pins before it.  Wherever ``solve`` returns the witness of a
+chain that re-closes for every pin, each of its top pins is that
+supremum too: a closed bound that overshoots makes its re-close
+infeasible and falls back to the oracle's supremum, and one that the
+closure wrongly accepted would fail ``solve``'s substitution.  So the
+exact tail gives the same witness, and does not need the closure to
+catch an overshoot.
+
+Every other pin of an ``UpperApprox`` closure (every pass-1 pin, and
+every top pin that leaves three or more variables of the input rows
+free) adds xk <= v and -xk <= -v and re-closes.  The closure detects
+an infeasible pin (its contradictions are always real).  An infeasible
+pin, found either way, falls back to the oracle's exact supremum of
+that variable (in pass 1, its point), which is attained, keeping the
+chain sound on every input.  The oracle runs on the input constraints
+plus the pins so far, the same polyhedron as the pinned matrix in far
+fewer rows.  A pin lowers only the two cells of xk's bounds on a matrix
+that was stationary, so its re-close is seeded with their two classes
+(see closure.close) instead of every class.
 
 ``solve`` checks every witness against every input constraint by exact
 substitution.
@@ -51,16 +75,28 @@ substitution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .closure import ClosureResult, Exactness, close
-from .core import Bound, Constraint4, is_finite, make_constraint, satisfies
+from .core import (
+    INF,
+    Bound,
+    Constraint4,
+    is_finite,
+    make_constraint,
+    satisfies,
+)
 from .fmoracle import LinearSystem, fm_solution, fm_tight_bound
 from .matrix2d import Matrix2D, load
 
 Interval = tuple[Bound, Bound]
+
+#: An input row on ints, (((v, a), ...), r): sum(a * xv) <= r over one
+#: common denominator, with x0 and zero coefficients left out.
+IntRow = tuple[tuple[tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -155,6 +191,84 @@ def _oracle_supremum(system: LinearSystem, i: int) -> Fraction:
     return hi
 
 
+def _int_rows(constraints: Sequence[Constraint4]) -> tuple[list[IntRow], int]:
+    """The finite input rows on ints, and their common denominator."""
+    finite = [c for c in constraints if is_finite(c.m)]
+    d = math.lcm(*(c.m.denominator for c in finite))
+    rows = []
+    for c in finite:
+        coeffs: dict[int, int] = {}
+        for v, a in ((c.i, 1), (c.j, -1), (c.p, -1), (c.q, 1)):
+            coeffs[v] = coeffs.get(v, 0) + a
+        terms = tuple((v, a) for v, a in coeffs.items() if v and a)
+        rows.append((terms, c.m.numerator * (d // c.m.denominator)))
+    return rows, d
+
+
+def _free_top(
+    rows: list[IntRow],
+    d: int,
+    pins: dict[int, Fraction],
+    free: Sequence[int],
+) -> Bound | None:
+    """The exact top of free[0]'s interval over ``rows`` (from
+    ``_int_rows``, over ``d``) with every pin substituted, or None when
+    that system is infeasible.  Every variable of ``rows`` is pinned or
+    in ``free``, which holds at most two; +inf when no row bounds
+    free[0] above, or when nothing is free.
+
+    Substituted, a row reads a * xa + b * xb <= r; the least r of each
+    (a, b) is kept, xb is eliminated by pairing the rows where b > 0
+    with those where b < 0 (one Fourier-Motzkin step, exact), and xa's
+    interval is read off what is left.  All on ints over one
+    denominator."""
+    scale = math.lcm(d, *(v.denominator for v in pins.values()))
+    at = {k: v.numerator * (scale // v.denominator) for k, v in pins.items()}
+    xa, xb = (*free, 0, 0)[:2]
+    up = scale // d
+    least: dict[tuple[int, int], int] = {}
+    for terms, r in rows:
+        r *= up
+        a = b = 0
+        for v, c in terms:
+            if v == xa:
+                a = c
+            elif v == xb:
+                b = c
+            else:
+                r -= c * at[v]
+        if least.get((a, b), r) >= r:
+            least[a, b] = r
+    tops, bottoms, alone = [], [], []
+    for (a, b), r in least.items():
+        if b > 0:
+            tops.append((a, b, r))
+        elif b < 0:
+            bottoms.append((a, -b, r))
+        else:
+            alone.append((a, r))
+    alone += [
+        (a1 * b2 + a2 * b1, r1 * b2 + r2 * b1)
+        for a1, b1, r1 in tops
+        for a2, b2, r2 in bottoms
+    ]
+    hi = lo = None  # an end p / q as (p, q), q > 0
+    for a, r in alone:
+        if a > 0:
+            if hi is None or r * hi[1] < hi[0] * a:
+                hi = (r, a)
+        elif a < 0:
+            if lo is None or r * lo[1] < lo[0] * a:
+                lo = (-r, -a)
+        elif r < 0:
+            return None
+    if hi is None:
+        return INF
+    if lo is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return Fraction(hi[0], hi[1] * scale)
+
+
 def extract_witness(
     result: ClosureResult,
     constraints: Sequence[Constraint4],
@@ -167,14 +281,20 @@ def extract_witness(
     and bounded unless ``pin_unbounded_to_zero`` is set, in which case
     each unbounded variable is first pinned to the point of its interval
     closest to 0 (oracle-assisted when the closed interval overshoots).
+    Every other variable is then pinned to the top of its interval.
     A pin runs no close when ``result`` is ``Exact``, whose matrix it
     reads exactly, or when the variable is in no input constraint, whose
-    pin is 0 and cuts nothing; any other pin re-closes (see the module
-    docstring).  When ``result`` is stationary the first re-close starts
-    from its pinned cells only.  Oracle fallbacks run on ``constraints``
-    plus the pins so far: the polyhedron of the pinned matrix, in far
-    fewer rows than its finite classes.  ``solve`` verifies the
-    valuation by exact substitution; this function does not.
+    pin is 0 and cuts nothing.  On an ``UpperApprox`` result, a top pin
+    that leaves at most two variables of the input rows unpinned runs no
+    close either: it substitutes the pins into the input rows and
+    eliminates the second of those variables, which gives the first its
+    exact interval, the top of the next pin.  Any other pin re-closes
+    (see the module docstring).  When ``result`` is stationary the first
+    re-close starts from its pinned cells only.  Oracle fallbacks run on
+    ``constraints`` plus the pins so far: the polyhedron of the pinned
+    matrix, in far fewer rows than its finite classes.  ``solve``
+    verifies the valuation by exact substitution; this function does
+    not.
 
     Raises RuntimeError when an oracle fallback does not yield an
     attainable value, which would be an internal error.
@@ -183,38 +303,55 @@ def extract_witness(
         raise ValueError("cannot extract a witness from an infeasible matrix")
     m, stationary = result.matrix, result.stationary
     exact = result.exactness is Exactness.EXACT
-    occurring = {v for c in constraints for v in (c.i, c.j, c.p, c.q)}
+    occurring = {v for c in constraints for v in (c.i, c.j, c.p, c.q)} - {0}
     cut: dict[int, int] = {}  # the pins m does not hold, over m.denom
     pins: dict[int, Fraction] = {}
+    int_rows = None if exact else _int_rows(constraints)
+    tops: dict[int, Bound] = {}  # exact tops that the input rows gave
 
-    def pin(
-        k: int,
-        scaled: int,
-        fallback: Callable[[LinearSystem, int], Fraction],
-        what: str,
-    ) -> None:
-        """Pin xk to ``scaled / m.denom``, into ``cut`` when no close is
-        needed; otherwise re-close, and when the closure finds the pin
-        infeasible (a closed bound that overshoots is not attained) pin
-        xk to ``fallback(system, k)`` on the oracle's system instead."""
+    def pin(k: int, value: Fraction, top: bool) -> None:
+        """Pin xk to ``value``, into ``cut`` when no close is needed.  A
+        ``top`` pin (pass 2) that leaves at most two variables of the
+        input rows unpinned is checked on those rows, which give the
+        first of them its top; any other pin re-closes.  When the pin is
+        infeasible (a closed bound that overshoots is not attained) xk
+        is pinned to the oracle's supremum (``top``) or point of the
+        input rows plus the pins so far instead."""
         nonlocal m, stationary
-        value = Fraction(scaled, m.denom)
         if exact or k not in occurring:
-            cut[k] = scaled
-        else:
+            cut[k] = value.numerator * (m.denom // value.denominator)
+            pins[k] = value
+            return
+        free = None  # the variables of the input rows left unpinned
+        if top:
+            left = occurring.difference(pins, (k,))
+            free = sorted(left) if len(left) <= 2 else None
+
+        def check(value: Fraction):
+            """The top of free[0], or the re-closed result; None when
+            the pin is infeasible."""
+            if free is not None:
+                return _free_top(*int_rows, {**pins, k: value}, free)
             trial = _pin(m, k, value, max_sweeps, stationary)
-            if not trial.feasible:
-                rows = [*constraints]
-                for p in pins.items():
-                    rows += _pin_constraints(*p)
-                value = fallback(LinearSystem.from_constraints(rows, m.n), k)
-                trial = _pin(m, k, value, max_sweeps, stationary)
-                if not trial.feasible:
-                    raise RuntimeError(
-                        f"internal error: pinning x{k} to the oracle's "
-                        f"{what} {value} is infeasible"
-                    )
-            m, stationary = trial.matrix, trial.stationary
+            return trial if trial.feasible else None
+
+        found = check(value)
+        if found is None:
+            system = [*constraints]
+            for p in pins.items():
+                system += _pin_constraints(*p)
+            fallback = _oracle_supremum if top else _oracle_point
+            value = fallback(LinearSystem.from_constraints(system, m.n), k)
+            found = check(value)
+            if found is None:
+                raise RuntimeError(
+                    f"internal error: pinning x{k} to the oracle's "
+                    f"{'supremum' if top else 'point'} {value} is infeasible"
+                )
+        if free is None:
+            m, stationary = found.matrix, found.stationary
+        elif free:
+            tops[free[0]] = found
         pins[k] = value
 
     for k in range(1, m.n + 1):
@@ -224,13 +361,17 @@ def extract_witness(
                 raise ValueError(
                     "system is unbounded; enable pin_unbounded_to_zero to force"
                 )
-            pin(k, max(lo, min(hi, 0)), _oracle_point, "point")
+            pin(k, Fraction(max(lo, min(hi, 0)), m.denom), False)
     for k in range(1, m.n + 1):
         if k not in pins:
-            hi = _interval(m, k, cut)[1]
+            hi = tops.pop(k, None)
+            if hi is None:
+                hi = _interval(m, k, cut)[1]
+                if is_finite(hi):
+                    hi = Fraction(hi, m.denom)
             if not is_finite(hi):
                 raise RuntimeError(f"internal error: x{k} is unbounded above")
-            pin(k, hi, _oracle_supremum, "supremum")
+            pin(k, hi, True)
     return (Fraction(0), *(pins[k] for k in range(1, m.n + 1)))
 
 

@@ -20,7 +20,12 @@ a convenient way to build inputs:
   dense system over every class that a substitution pass leaves, against
   which the tests check ``closure._policy_fixpoint``.  It keeps the
   older admission rule (no doubling edge anywhere in that remainder) and
-  its size cap.
+  its size cap;
+- ``reference_extract_witness``, the witness pin chain that re-closes
+  the matrix for every pin of a variable in some input row of an
+  ``UpperApprox`` closure, against which the tests check
+  ``solver.extract_witness``, whose last two such pins read exact
+  intervals off the input rows instead.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from quadcsp.closure import _term_parts
+from quadcsp.closure import ClosureResult, Exactness, _term_parts
 from quadcsp.core import (
     INF,
     Bound,
@@ -44,7 +49,7 @@ from quadcsp.core import (
     is_finite,
     normal_vector,
 )
-from quadcsp.fmoracle import rows_solution
+from quadcsp.fmoracle import LinearSystem, rows_solution
 from quadcsp.lindep import (
     DEFAULT_MAX_CONSTRAINTS,
     DEFAULT_MAX_SIZE,
@@ -65,6 +70,13 @@ from quadcsp.matrix2d import (
     _lower,
     new_matrix,
     to_json_obj,
+)
+from quadcsp.solver import (
+    _interval,
+    _oracle_point,
+    _oracle_supremum,
+    _pin,
+    _pin_constraints,
 )
 
 
@@ -477,3 +489,85 @@ def reference_policy_fixpoint(eqs: dict, bounds: list):
         if value > bounds[cls]:
             return None
     return resolved
+
+
+# --- the witness pin chain, re-closing every pin ----------------------------
+
+
+def reference_extract_witness(
+    result: ClosureResult,
+    constraints: Sequence[Constraint4],
+    pin_unbounded_to_zero: bool = False,
+    max_sweeps: int | None = None,
+) -> tuple[Fraction, ...]:
+    """A valuation of x0..xn (x0 = 0) in the polyhedron of a closed matrix.
+
+    ``result`` is the closure of ``constraints``.  It must be feasible,
+    and bounded unless ``pin_unbounded_to_zero`` is set, in which case
+    each unbounded variable is first pinned to the point of its interval
+    closest to 0 (oracle-assisted when the closed interval overshoots).
+    A pin runs no close when ``result`` is ``Exact``, whose matrix it
+    reads exactly, or when the variable is in no input constraint, whose
+    pin is 0 and cuts nothing; any other pin re-closes (see the module
+    docstring).  When ``result`` is stationary the first re-close starts
+    from its pinned cells only.  Oracle fallbacks run on ``constraints``
+    plus the pins so far: the polyhedron of the pinned matrix, in far
+    fewer rows than its finite classes.  ``solve`` verifies the
+    valuation by exact substitution; this function does not.
+
+    Raises RuntimeError when an oracle fallback does not yield an
+    attainable value, which would be an internal error.
+    """
+    if not result.feasible:
+        raise ValueError("cannot extract a witness from an infeasible matrix")
+    m, stationary = result.matrix, result.stationary
+    exact = result.exactness is Exactness.EXACT
+    occurring = {v for c in constraints for v in (c.i, c.j, c.p, c.q)}
+    cut: dict[int, int] = {}  # the pins m does not hold, over m.denom
+    pins: dict[int, Fraction] = {}
+
+    def pin(
+        k: int,
+        scaled: int,
+        fallback: Callable[[LinearSystem, int], Fraction],
+        what: str,
+    ) -> None:
+        """Pin xk to ``scaled / m.denom``, into ``cut`` when no close is
+        needed; otherwise re-close, and when the closure finds the pin
+        infeasible (a closed bound that overshoots is not attained) pin
+        xk to ``fallback(system, k)`` on the oracle's system instead."""
+        nonlocal m, stationary
+        value = Fraction(scaled, m.denom)
+        if exact or k not in occurring:
+            cut[k] = scaled
+        else:
+            trial = _pin(m, k, value, max_sweeps, stationary)
+            if not trial.feasible:
+                rows = [*constraints]
+                for p in pins.items():
+                    rows += _pin_constraints(*p)
+                value = fallback(LinearSystem.from_constraints(rows, m.n), k)
+                trial = _pin(m, k, value, max_sweeps, stationary)
+                if not trial.feasible:
+                    raise RuntimeError(
+                        f"internal error: pinning x{k} to the oracle's "
+                        f"{what} {value} is infeasible"
+                    )
+            m, stationary = trial.matrix, trial.stationary
+        pins[k] = value
+
+    for k in range(1, m.n + 1):
+        lo, hi = _interval(m, k, cut)
+        if not (is_finite(lo) and is_finite(hi)):
+            if not pin_unbounded_to_zero:
+                raise ValueError(
+                    "system is unbounded; enable pin_unbounded_to_zero to force"
+                )
+            pin(k, max(lo, min(hi, 0)), _oracle_point, "point")
+    for k in range(1, m.n + 1):
+        if k not in pins:
+            hi = _interval(m, k, cut)[1]
+            if not is_finite(hi):
+                raise RuntimeError(f"internal error: x{k} is unbounded above")
+            pin(k, hi, _oracle_supremum, "supremum")
+    return (Fraction(0), *(pins[k] for k in range(1, m.n + 1)))

@@ -15,9 +15,13 @@ from quadcsp.matrix2d import load, new_matrix
 from quadcsp.solver import extract_witness, is_bounded, reduce_domains, solve
 from gen import (
     box_constraints,
+    random_bound,
     random_general_constraint,
+    random_lower_bound_constraint,
     random_octagon_constraint,
+    random_upper_bound_constraint,
 )
+from reference import reference_extract_witness
 
 SEVEN = """
 x1 - x2 - x3 <= 3
@@ -189,8 +193,10 @@ class TestExtractWitness:
         assert sparse >= 60
 
     def test_exact_witness_runs_no_closure(self, monkeypatch):
+        # x1's pin on the UpperApprox closure of four variables leaves
+        # three free, so it re-closes
         exact, octagon_cs, _ = closed_matrix(OCTAGON_PINS)
-        general, general_cs, _ = closed_matrix(OVERSHOOT)
+        general, general_cs, _ = closed_matrix("\n".join(PINNED_OVERSHOOT))
         assert exact.exactness is Exactness.EXACT
         assert general.exactness is Exactness.UPPER_APPROX
 
@@ -218,14 +224,16 @@ class TestExtractWitness:
 
     def test_unbounded_pin_is_not_pinned_again(self, monkeypatch):
         """x1 is unbounded below, so pass 1 pins it to 0 with one
-        re-close; pass 2 then pins x2 and x3 only: four closes in all."""
+        re-close; pass 2 then pins x2 and x3 only, each leaving at most
+        two variables free, so on the input rows with no close: two
+        closes in all."""
         calls = count_closes(monkeypatch)
         cs, n = parse_constraints(
             "x1 - x2 - x3 <= 3\nx2 <= 1\nx3 >= 0\nx3 <= 2"
         )
         report = solve(cs, n, witness_anyway=True)
         assert report.closed.exactness is Exactness.UPPER_APPROX
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert report.witness == (0, 0, 1, 2)
 
     def test_variable_in_no_constraint_runs_no_pin_close(self, monkeypatch):
@@ -393,6 +401,139 @@ class TestOracleFallback:
         cs, n = parse_constraints(UNBOUNDED_OVERSHOOT)
         report = solve(cs, n, witness_anyway=True)
         assert all(satisfies(c, report.witness) for c in cs)
+
+
+def distinct_variable_constraint(rng, n, lo=-10, hi=10):
+    """xa + xb - xc - xd, xa - xb - xc, xa + xb - xc or xa + xb - 2 xc
+    over distinct variables (n >= 3), the rows on which closed bounds
+    overshoot most often."""
+    v = rng.sample(range(1, n + 1), rng.choice((3, 4)) if n > 3 else 3)
+    pos, neg = rng.choice(
+        [(v[:2], v[2:])]
+        if len(v) == 4
+        else [(v[:1], v[1:]), (v[:2], v[2:]), (v[1:], v[:1] * 2)]
+    )
+    return make_constraint(pos, neg, random_bound(rng, lo, hi))
+
+
+SHAPES = (
+    random_general_constraint,
+    random_upper_bound_constraint,
+    random_lower_bound_constraint,
+    random_octagon_constraint,
+    distinct_variable_constraint,
+)
+
+
+def _outcome(extract, result, cs, anyway):
+    """The witness, or the type and message of what ``extract`` raised."""
+    try:
+        return extract(result, cs, anyway)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _tail_draws():
+    """Seeded mixes of the four row shapes at n = 3-6, boxed every other
+    draw; every third draw keeps only the rows over 2-4 of the
+    variables.  Last, a boxed three-variable system of 200 rows, which
+    x = 0 satisfies, where many rows share a direction once x1 is
+    pinned."""
+    rng = random.Random(2800)
+    for draw in range(300):
+        n = rng.randint(3, 6)
+        cs = [
+            rng.choice(SHAPES)(rng, n, -6, 10)
+            for _ in range(rng.randint(2, 2 * n + 2))
+        ]
+        keep = set(range(n + 1))
+        if draw % 3 == 2:
+            keep = {0, *rng.sample(range(1, n + 1), rng.randint(2, min(4, n)))}
+            cs = [c for c in cs if set(c.indices()) <= keep]
+        if draw % 2:
+            box = box_constraints(n, rng.randint(3, 12))
+            cs += [c for c in box if set(c.indices()) <= keep]
+        yield n, cs
+    cs = [random_general_constraint(rng, 3, 0, 20) for _ in range(200)]
+    yield 3, cs + box_constraints(3, 12)
+
+
+class TestExactTail:
+    """Top pins that leave at most two variables of the input rows free
+    read exact intervals off those rows instead of re-closing."""
+
+    def test_free_top_by_hand(self):
+        # x1 + x2 <= 3, x1 - x2 <= 1, -x1 <= 0 over denominator 2
+        rows, d = solver_module._int_rows(
+            parse_constraints("x1 + x2 <= 3/2\nx1 - x2 <= 1/2\n-x1 <= 0")[0]
+        )
+        assert d == 2
+        free_top = solver_module._free_top
+        # eliminating x2 leaves 2 x1 <= 2
+        assert free_top(rows, d, {}, [1, 2]) == 1
+        # x1 = 1/2 leaves x2 in [0, 1]; x1 = 1 leaves [1/2, 1/2]
+        assert free_top(rows, d, {1: Fraction(1, 2)}, [2]) == 1
+        assert free_top(rows, d, {1: Fraction(1)}, [2]) == Fraction(1, 2)
+        # x1 = 3/2 leaves x2 <= 0 and x2 >= 1: infeasible
+        assert free_top(rows, d, {1: Fraction(3, 2)}, [2]) is None
+        # nothing free: a check of the pins
+        pins = {1: Fraction(1), 2: Fraction(1, 2)}
+        assert free_top(rows, d, pins, []) == INF
+        assert free_top(rows, d, {**pins, 2: Fraction(1)}, []) is None
+        # x1 >= 0 tops x2 at 3/2; alone, it leaves x1 unbounded above
+        assert free_top(rows, d, {}, [2, 1]) == Fraction(3, 2)
+        assert free_top(rows[2:], d, {}, [1]) == INF
+
+    def test_boxed_three_variables_run_one_close(self, monkeypatch):
+        calls = count_closes(monkeypatch)
+        cs, n = parse_constraints("x1 + x2 - x3 <= 2")
+        report = solve(cs + box_constraints(n, 5), n)
+        assert report.closed.exactness is Exactness.UPPER_APPROX
+        assert report.witness is not None
+        assert calls == [None]
+
+    def test_boxed_four_variables_run_two_closes(self, monkeypatch):
+        # x1's pin re-closes from its two cells; x2's overshoots, and
+        # its oracle fallback, x3 and x4 run no close
+        calls = count_closes(monkeypatch)
+        cs, n = parse_constraints("\n".join(PINNED_OVERSHOOT))
+        report = solve(cs, n)
+        assert report.closed.exactness is Exactness.UPPER_APPROX
+        assert report.witness == (
+            0, 7, Fraction(23, 3), Fraction(-4, 3), Fraction(-2, 3)
+        )
+        assert calls == [None, [(0, 5), (0, 1)]]
+
+    def test_matches_reclosing_chain(self, monkeypatch):
+        infeasible = []
+        free_top = solver_module._free_top
+
+        def recording(*args):
+            top = free_top(*args)
+            infeasible.append(top is None)
+            return top
+
+        monkeypatch.setattr(solver_module, "_free_top", recording)
+        witnesses = raised = 0
+        for n, cs in _tail_draws():
+            result = close(load(cs, n))
+            if not (result.feasible and result.stationary):
+                continue
+            for anyway in (False, True):
+                got = _outcome(extract_witness, result, cs, anyway)
+                assert got == _outcome(
+                    reference_extract_witness, result, cs, anyway
+                )
+                if isinstance(got[0], type):
+                    raised += 1
+                else:
+                    assert all(satisfies(c, got) for c in cs)
+                    witnesses += 1
+        # 336 witnesses, and 154 ValueErrors of unbounded draws without
+        # witness_anyway; the input rows find 3 of 594 tail pins
+        # infeasible, and those fall back to the oracle
+        assert witnesses >= 300 and raised >= 100
+        assert sum(infeasible) >= 3
 
 
 class TestSolve:
