@@ -293,14 +293,16 @@ def _octagon_close(
     for k, a, b in cells:
         if (bound := bounds[k]) is not INF:
             dbm[a][b] = dbm[b ^ 1][a ^ 1] = 2 * bound
+    # Only finite entries are added: an int of more than 308 digits plus
+    # INF would overflow converting to float.
     for mid in range(size):
-        row_mid = dbm[mid]
-        for a, row in enumerate(dbm):
+        via = [(b, y) for b, y in enumerate(dbm[mid]) if y is not INF]
+        for row in dbm:
             d = row[mid]
             if d is not INF:
-                dbm[a] = [
-                    c if (c := d + y) < x else x for x, y in zip(row, row_mid)
-                ]
+                for b, y in via:
+                    if (c := d + y) < row[b]:
+                        row[b] = c
     least = min(row[a] for a, row in enumerate(dbm))
     if least >= 0:
         # m[a][b] <= (m[a][a-bar] + m[b-bar][b]) / 2; every entry is even
@@ -323,8 +325,14 @@ def _octagon_close(
     if least < 0:
         return factor
     for v, pairs in splits:
-        best = min([bounds[u] + bounds[w] for u, w in pairs])
-        bounds[v] = INF if best == INF else best
+        bounds[v] = min(
+            [
+                bu + bw
+                for u, w in pairs
+                if (bu := bounds[u]) is not INF and (bw := bounds[w]) is not INF
+            ],
+            default=INF,
+        )
     return factor
 
 

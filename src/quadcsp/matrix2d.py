@@ -210,10 +210,10 @@ class Matrix2D:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix2D):
             return NotImplemented
-        # INF times a denominator stays INF
+        # INF stays INF: times a huge int it would overflow to float
         return self.n == other.n and [
-            b * other.denom for b in self.scaled
-        ] == [b * self.denom for b in other.scaled]
+            b if b is INF else b * other.denom for b in self.scaled
+        ] == [b if b is INF else b * self.denom for b in other.scaled]
 
     def __repr__(self) -> str:
         finite = sum(1 for v in self.scaled if v is not INF)

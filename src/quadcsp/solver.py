@@ -7,7 +7,7 @@ its interval, so after n pins the solution set is a single valuation.
 A pin only narrows the intervals after it, so the first unbounded
 variable left is always a later one: one pass in index order pins the
 chain's sequence of them.  Both passes read xk's interval off the
-current matrix (the last two top pins of an ``UpperApprox`` closure
+current matrix (the last three top pins of an ``UpperApprox`` closure
 aside, see below): its upper end is min(M[xk], M[xk - xj] + cj,
 M[xk + xj] - cj) over the pins xj = cj that the matrix does not hold,
 its lower end the mirror image.  A pin either goes into the matrix,
@@ -38,27 +38,35 @@ re-close picks.
 On an ``UpperApprox`` closure reading bounds off the matrix would be
 unsound: a closed bound may overshoot the true supremum, so a pin can
 make the system genuinely infeasible, and every pin of a variable in
-some input row is checked.  A top pin that leaves at most two such
-variables unpinned, xa < xb, is checked on the input rows alone, with
-no close.  With every pin substituted, each row reads
-a * xa + b * xb <= r; pairing each row where b > 0 with each where
-b < 0 eliminates xb, one Fourier-Motzkin step (Dantzig & Eaves,
+some input row is checked.  A top pin that leaves at most three such
+variables unpinned, xa < xb < xc, is checked on the input rows alone,
+with no close.  With every pin substituted, each row reads
+a * xa + b * xb + c * xc <= r; pairing each row where c > 0 with each
+where c < 0 eliminates xc, one Fourier-Motzkin step (Dantzig & Eaves,
 "Fourier-Motzkin elimination and its dual", J. Comb. Theory A, 1973),
-and elimination projects exactly.  So the rows left give xa's exact
-interval given the pins: empty exactly when the pin is infeasible, and
-topped by xa's supremum, which xa's pin then takes without reading the
-matrix; xb's top given xa comes from the rows in the same way.  Each
-of the last two top pins is thus the exact supremum of its variable
+a second such step eliminates xb, and elimination projects exactly.
+So the rows left give xa's exact interval given the pins: empty
+exactly when the pin is infeasible, and topped by xa's supremum, which
+xa's pin then takes without reading the matrix; xb's top given xa, and
+xc's given both, come from the rows in the same way.  When the top
+pass starts with at most three such variables unpinned, the first of
+them takes its top from the rows too, before any pin of pass 2, so it
+never reads a closed bound that may overshoot (a top that the rows do
+not give, empty or unbounded, leaves it to the matrix as before).  Each
+of the last three top pins is thus the exact supremum of its variable
 given the pins before it.  Wherever ``solve`` returns the witness of a
 chain that re-closes for every pin, each of its top pins is that
 supremum too: a closed bound that overshoots makes its re-close
 infeasible and falls back to the oracle's supremum, and one that the
 closure wrongly accepted would fail ``solve``'s substitution.  So the
 exact tail gives the same witness, and does not need the closure to
-catch an overshoot.
+catch an overshoot: a solve of at most three variables of the input
+rows, none unbounded, runs one close and no oracle.  Coefficients stay
+small (at most 2, then 8, in magnitude), so the two eliminations cost
+at most 50 x 50 and 136 x 136 pairings of rows (see ``_free_top``).
 
 Every other pin of an ``UpperApprox`` closure (every pass-1 pin, and
-every top pin that leaves three or more variables of the input rows
+every top pin that leaves four or more variables of the input rows
 free) adds xk <= v and -xk <= -v and re-closes.  The closure detects
 an infeasible pin (its contradictions are always real).  An infeasible
 pin, found either way, falls back to the oracle's exact supremum of
@@ -70,7 +78,7 @@ that was stationary, so its re-close is seeded with their two classes
 (see closure.close) instead of every class.
 
 ``solve`` checks every witness against every input constraint by exact
-substitution.
+substitution, on ints over the witness's common denominator.
 """
 
 from __future__ import annotations
@@ -87,7 +95,6 @@ from .core import (
     Constraint4,
     is_finite,
     make_constraint,
-    satisfies,
 )
 from .fmoracle import LinearSystem, fm_solution, fm_tight_bound
 from .matrix2d import Matrix2D, load
@@ -121,10 +128,15 @@ def _interval(m: Matrix2D, k: int, cut: dict[int, int]) -> tuple:
     bound, cls = m.scaled, m._class_of
     hi, neg_lo = bound[cls(k, 0, 0, 0)], bound[cls(0, k, 0, 0)]
     for j, c in cut.items():
-        hi = min(hi, bound[cls(k, j, 0, 0)] + c, bound[cls(k, 0, 0, j)] - c)
-        neg_lo = min(
-            neg_lo, bound[cls(j, k, 0, 0)] - c, bound[cls(0, k, j, 0)] + c
-        )
+        # an int plus +inf would overflow converting a huge int to float
+        if (b := bound[cls(k, j, 0, 0)]) is not INF:
+            hi = min(hi, b + c)
+        if (b := bound[cls(k, 0, 0, j)]) is not INF:
+            hi = min(hi, b - c)
+        if (b := bound[cls(j, k, 0, 0)]) is not INF:
+            neg_lo = min(neg_lo, b - c)
+        if (b := bound[cls(0, k, j, 0)]) is not INF:
+            neg_lo = min(neg_lo, b + c)
     return -neg_lo, hi
 
 
@@ -214,46 +226,63 @@ def _free_top(
     """The exact top of free[0]'s interval over ``rows`` (from
     ``_int_rows``, over ``d``) with every pin substituted, or None when
     that system is infeasible.  Every variable of ``rows`` is pinned or
-    in ``free``, which holds at most two; +inf when no row bounds
-    free[0] above, or when nothing is free.
+    in ``free``, which is sorted and holds at most three; +inf when no
+    row bounds free[0] above, or when nothing is free.
 
-    Substituted, a row reads a * xa + b * xb <= r; the least r of each
-    (a, b) is kept, xb is eliminated by pairing the rows where b > 0
-    with those where b < 0 (one Fourier-Motzkin step, exact), and xa's
-    interval is read off what is left.  All on ints over one
-    denominator."""
+    Substituted, a row reads sum(a_s * free[s]) <= r; the least r of
+    each coefficient tuple (a_0, ...) is kept.  Then free[-1], ...,
+    free[1] are eliminated in turn, each by pairing the rows with a
+    positive coefficient on it with those with a negative one (one
+    Fourier-Motzkin step, exact), again keeping the least r per tuple,
+    and free[0]'s interval is read off what is left.  All on ints over
+    one denominator.  Input coefficients lie in [-2, 2], so with three
+    free there are at most 124 nonzero tuples and 50 x 50 pairs, then
+    at most 289 tuples (coefficients of magnitude at most 8) and
+    136 x 136 pairs: about 9 ms when all 124 tuples occur.  Rows of the
+    form (xi - xj) - (xp - xq) reach only the 54 with at most two
+    positive and two negative units (under 1 ms), and a few boxed rows
+    take tens of microseconds.
+
+    ``extract_witness`` calls it for each top pin that leaves at most
+    three variables of the rows free, and for the first top when the
+    top pass starts with at most three free; a top pin that leaves four
+    or more free re-closes instead."""
     scale = math.lcm(d, *(v.denominator for v in pins.values()))
     at = {k: v.numerator * (scale // v.denominator) for k, v in pins.items()}
-    xa, xb = (*free, 0, 0)[:2]
+    slot = {v: s for s, v in enumerate(free)}
     up = scale // d
-    least: dict[tuple[int, int], int] = {}
+    least: dict[tuple[int, ...], int] = {}
     for terms, r in rows:
         r *= up
-        a = b = 0
+        key = [0] * len(free)
         for v, c in terms:
-            if v == xa:
-                a = c
-            elif v == xb:
-                b = c
+            if v in slot:
+                key[slot[v]] = c
             else:
                 r -= c * at[v]
-        if least.get((a, b), r) >= r:
-            least[a, b] = r
-    tops, bottoms, alone = [], [], []
-    for (a, b), r in least.items():
-        if b > 0:
-            tops.append((a, b, r))
-        elif b < 0:
-            bottoms.append((a, -b, r))
-        else:
-            alone.append((a, r))
-    alone += [
-        (a1 * b2 + a2 * b1, r1 * b2 + r2 * b1)
-        for a1, b1, r1 in tops
-        for a2, b2, r2 in bottoms
-    ]
+        key = tuple(key)
+        if least.get(key, r) >= r:
+            least[key] = r
+    for s in range(len(free) - 1, 0, -1):
+        tops, bottoms, kept = [], [], {}
+        for key, r in least.items():
+            b, rest = key[s], key[:s]
+            if b > 0:
+                tops.append((rest, b, r))
+            elif b < 0:
+                bottoms.append((rest, -b, r))
+            else:
+                kept[rest] = r
+        for t, b1, r1 in tops:
+            for u, b2, r2 in bottoms:
+                key = tuple([x * b2 + y * b1 for x, y in zip(t, u)])
+                r = r1 * b2 + r2 * b1
+                if kept.get(key, r) >= r:
+                    kept[key] = r
+        least = kept
     hi = lo = None  # an end p / q as (p, q), q > 0
-    for a, r in alone:
+    for key, r in least.items():
+        a = key[0] if key else 0
         if a > 0:
             if hi is None or r * hi[1] < hi[0] * a:
                 hi = (r, a)
@@ -285,14 +314,20 @@ def extract_witness(
     A pin runs no close when ``result`` is ``Exact``, whose matrix it
     reads exactly, or when the variable is in no input constraint, whose
     pin is 0 and cuts nothing.  On an ``UpperApprox`` result, a top pin
-    that leaves at most two variables of the input rows unpinned runs no
-    close either: it substitutes the pins into the input rows and
-    eliminates the second of those variables, which gives the first its
-    exact interval, the top of the next pin.  Any other pin re-closes
-    (see the module docstring).  When ``result`` is stationary the first
-    re-close starts from its pinned cells only.  Oracle fallbacks run on
-    ``constraints`` plus the pins so far: the polyhedron of the pinned
-    matrix, in far fewer rows than its finite classes.  ``solve``
+    that leaves at most three variables of the input rows unpinned runs
+    no close either: it substitutes the pins into the input rows and
+    eliminates the last two of those variables, which gives the first
+    its exact interval, the top of the next pin.  When the top pass
+    starts with at most three of them unpinned, the first takes its top
+    from the input rows in the same way, not from the closed matrix
+    (unless the rows give it none, empty or unbounded).  Each of these
+    costs at most two eliminations of bounded size (see ``_free_top``).
+    Any other pin (a top pin that leaves four or more free, or any
+    pass-1 pin) re-closes (see the module docstring).  When ``result``
+    is stationary the first re-close starts from its pinned cells only.
+    Oracle fallbacks run on ``constraints`` plus the pins so far: the
+    polyhedron of the pinned matrix, in far fewer rows than its finite
+    classes.  ``solve``
     verifies the valuation by exact substitution; this function does
     not.
 
@@ -311,7 +346,7 @@ def extract_witness(
 
     def pin(k: int, value: Fraction, top: bool) -> None:
         """Pin xk to ``value``, into ``cut`` when no close is needed.  A
-        ``top`` pin (pass 2) that leaves at most two variables of the
+        ``top`` pin (pass 2) that leaves at most three variables of the
         input rows unpinned is checked on those rows, which give the
         first of them its top; any other pin re-closes.  When the pin is
         infeasible (a closed bound that overshoots is not attained) xk
@@ -325,7 +360,7 @@ def extract_witness(
         free = None  # the variables of the input rows left unpinned
         if top:
             left = occurring.difference(pins, (k,))
-            free = sorted(left) if len(left) <= 2 else None
+            free = sorted(left) if len(left) <= 3 else None
 
         def check(value: Fraction):
             """The top of free[0], or the re-closed result; None when
@@ -362,6 +397,12 @@ def extract_witness(
                     "system is unbounded; enable pin_unbounded_to_zero to force"
                 )
             pin(k, Fraction(max(lo, min(hi, 0)), m.denom), False)
+    left = sorted(occurring.difference(pins))
+    if not exact and 0 < len(left) <= 3:
+        # the first top from the rows too: no closed bound that may overshoot
+        first = _free_top(*int_rows, pins, left)
+        if first is not None and is_finite(first):
+            tops[left[0]] = first
     for k in range(1, m.n + 1):
         if k not in pins:
             hi = tops.pop(k, None)
@@ -373,6 +414,26 @@ def extract_witness(
                 raise RuntimeError(f"internal error: x{k} is unbounded above")
             pin(k, hi, True)
     return (Fraction(0), *(pins[k] for k in range(1, m.n + 1)))
+
+
+def _violated(
+    constraints: Sequence[Constraint4], witness: Sequence[Fraction]
+) -> Constraint4 | None:
+    """The first of ``constraints`` that ``witness`` violates, or None.
+
+    Exact substitution on ints: with the witness over one denominator D,
+    a row is violated when (D vi - D vj - D vp + D vq) * m.den >
+    m.num * D.  A row bounded by +inf holds."""
+    d = math.lcm(*(v.denominator for v in witness))
+    w = [v.numerator * (d // v.denominator) for v in witness]
+    for c in constraints:
+        m = c.m
+        if is_finite(m) and (
+            (w[c.i] - w[c.j] - w[c.p] + w[c.q]) * m.denominator
+            > m.numerator * d
+        ):
+            return c
+    return None
 
 
 def solve(
@@ -387,7 +448,7 @@ def solve(
     systems always, for unbounded ones only with ``witness_anyway``.  A
     closure stopped at its round cap (``max_sweeps``) gives none.  Every
     witness is verified against the original constraints by exact
-    substitution before being returned.
+    substitution (``_violated``) before being returned.
     """
     matrix = load(constraints, n)
     closed = close(matrix, max_sweeps=max_sweeps)
@@ -401,11 +462,9 @@ def solve(
         witness = extract_witness(
             closed, constraints, witness_anyway, max_sweeps=max_sweeps
         )
-        bad = [c for c in constraints if not satisfies(c, witness)]
-        if bad:
-            raise RuntimeError(
-                f"internal error: witness violates {bad[0]}"
-            )
+        bad = _violated(constraints, witness)
+        if bad is not None:
+            raise RuntimeError(f"internal error: witness violates {bad}")
     return SolveReport(
         feasible=True, closed=closed, domains=domains, witness=witness
     )

@@ -24,7 +24,7 @@ a convenient way to build inputs:
 - ``reference_extract_witness``, the witness pin chain that re-closes
   the matrix for every pin of a variable in some input row of an
   ``UpperApprox`` closure, against which the tests check
-  ``solver.extract_witness``, whose last two such pins read exact
+  ``solver.extract_witness``, whose last three such pins read exact
   intervals off the input rows instead.
 """
 

@@ -326,6 +326,25 @@ x2 - x1 <= 0
 """
 
 
+# A boxed General n = 6 system of 25 rows that is feasible, but whose
+# witness stops at the oracle's 20000-row budget (exit 4).
+ROW_BUDGET_SIX = """
+x5 <= 8
+x2 + x4 - x6 - x6 <= -3
+x6 - x2 <= 3
+x5 + x5 - x4 <= -6
+- x3 - x6 <= 5/2
+x4 + x6 - x1 - x2 <= 3
+x4 <= -3/2
+x1 - x4 <= 1
+x2 - x4 - x4 <= 9
+x3 - x1 - x2 <= 6
+x1 - x3 - x4 <= 6
+x1 + x1 - x4 - x5 <= -4
+x2 + x4 <= 0
+""" + "".join(f"x{i} <= 11\n- x{i} <= 11\n" for i in range(1, 7))
+
+
 def assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -365,12 +384,69 @@ class TestNoVerdict:
         assert "20000 rows" in assert_one_error_line(capsys)
 
     def test_internal_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(solver_module, "satisfies", lambda c, nu: False)
+        # x1 = 8 breaks x1 <= 7, the first row of the fixture it violates
+        monkeypatch.setattr(
+            solver_module, "extract_witness", lambda *args, **kwargs: (0, 8, 2)
+        )
         path = str(FIXTURES / "handshake.txt")
         assert main(["solve", path]) == EXIT_ORACLE_MISMATCH
-        assert "internal error: witness violates" in assert_one_error_line(
-            capsys
+        assert assert_one_error_line(capsys) == (
+            "error: internal error: witness violates x1 <= 7\n"
         )
+
+    def test_pin_fallback_row_budget(self, tmp_path, capsys):
+        # x1's pin leaves five variables free, so it re-closes; its closed
+        # top overshoots, and the oracle's supremum of x1 runs out of its
+        # row budget.  ROADMAP item 11's simplex oracle turns this into a
+        # witness.
+        f = tmp_path / "budget6.txt"
+        f.write_text(ROW_BUDGET_SIX)
+        assert main(["solve", str(f)]) == EXIT_LIMIT
+        assert "20000 rows" in assert_one_error_line(capsys)
+
+
+# x1 - x2 <= 10^-400 scales every finite bound past the float range: an
+# int of that size plus +inf would raise OverflowError.
+HUGE_DENOMINATOR = (
+    "x1 - x2 <= 1/1" + "0" * 400 + "\nx1 <= 3\n-x1 <= 3\nx2 <= 3\n-x2 <= 3\n"
+)
+
+
+class TestHugeDenominator:
+    """A bound over 10^400 closes, bounds and solves: no int meets +inf
+    in a sum (the strong closure, the split pass, the witness's
+    intervals)."""
+
+    @pytest.mark.parametrize(
+        "extra, intervals, witness",
+        [
+            ("", ["x1 in [-3, 3]", "x2 in [-3, 3]"], "x0=0 x1=3 x2=3"),
+            (
+                "-x3 <= -5\n",
+                ["x1 in [-3, 3]", "x2 in [-3, 3]", "x3 in [5, inf]"],
+                "x0=0 x1=3 x2=3 x3=5",
+            ),
+        ],
+    )
+    def test_every_command(self, tmp_path, capsys, extra, intervals, witness):
+        f = tmp_path / "huge.txt"
+        f.write_text(HUGE_DENOMINATOR + extra)
+        outputs = {}
+        for argv in (
+            ["check"], ["bounds"], ["solve"], ["close"],
+            ["solve", "--witness-anyway"],
+        ):
+            assert main([*argv, str(f)]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == ""
+            outputs[" ".join(argv)] = out.splitlines()
+        assert outputs["check"] == ["feasible"]
+        assert outputs["bounds"] == intervals
+        for command in ("solve", "solve --witness-anyway"):
+            assert outputs[command][3:-1] == intervals
+        assert outputs["solve --witness-anyway"][-1] == f"witness: {witness}"
+        tiny = "\t1/1" + "0" * 400
+        assert any(line.endswith(tiny) for line in outputs["close"])
 
 
 class TestStdoutClosed:

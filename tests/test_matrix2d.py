@@ -247,6 +247,14 @@ class TestScaledStorage:
         b.set_min(2, 1, 0, 0, Fraction(14, 3))
         assert a != b
 
+    def test_equal_over_a_huge_denominator(self):
+        # 10^400 times +inf would overflow converting the int to float
+        tiny = Fraction(1, 10**400)
+        a = new_matrix(2).set_min(1, 2, 0, 0, tiny)
+        b = a.copy().set_min(2, 0, 0, 0, Fraction(3))
+        assert a.denom == 10**400
+        assert a == a.copy() and a != b and b != a
+
     def test_set_min_with_a_new_denominator_reads_back_exactly(self):
         m = new_matrix(2).set_min(1, 0, 0, 0, Fraction(1, 2))
         m.set_min(2, 0, 0, 0, Fraction(-7, 3))

@@ -9,7 +9,13 @@ import pytest
 import quadcsp.closure as closure_module
 import quadcsp.solver as solver_module
 from quadcsp.closure import Exactness, close
-from quadcsp.core import INF, make_constraint, parse_constraints, satisfies
+from quadcsp.core import (
+    INF,
+    Constraint4,
+    make_constraint,
+    parse_constraints,
+    satisfies,
+)
 from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_solution, fm_tight_bound
 from quadcsp.matrix2d import load, new_matrix
 from quadcsp.solver import extract_witness, is_bounded, reduce_domains, solve
@@ -193,10 +199,12 @@ class TestExtractWitness:
         assert sparse >= 60
 
     def test_exact_witness_runs_no_closure(self, monkeypatch):
-        # x1's pin on the UpperApprox closure of four variables leaves
-        # three free, so it re-closes
+        # x1's pin on the UpperApprox closure of five variables leaves
+        # four free, so it re-closes
         exact, octagon_cs, _ = closed_matrix(OCTAGON_PINS)
-        general, general_cs, _ = closed_matrix("\n".join(PINNED_OVERSHOOT))
+        general, general_cs, _ = closed_matrix(
+            BOXED_FIVE, extra=box_constraints(5, 10)
+        )
         assert exact.exactness is Exactness.EXACT
         assert general.exactness is Exactness.UPPER_APPROX
 
@@ -276,8 +284,8 @@ x3 >= 0
 x1 - x3 >= -1/2
 """
 
-# x1's closed upper bound 9/4 overshoots the true supremum 1/3, so the
-# pin of x1 falls back to the oracle.
+# x1's closed upper bound 9/4 overshoots the true supremum 1/3; with
+# three variables x1 takes its top from the input rows instead.
 OVERSHOOT = (
     "x2 <= 2\nx2 - x1 <= 3\nx1 + x2 <= -4\nx1 + x1 - x2 <= 5\n"
     "x1 >= -20\nx2 >= -20"
@@ -307,9 +315,44 @@ x4 + x2 - x3 - x1 <= 9
 """
 
 
-# Pinning x1 to the top of its interval closes feasibly, but pinning x2
-# to the top of its closed interval [-6, 35/4] then overshoots: the
-# supremum's oracle runs after an earlier pin.
+# x1's closed upper bound 2 overshoots the true supremum 4/3, and with
+# four variables x1 takes that closed bound as its top, so the pin of x1
+# falls back to the oracle (general-solve seed 6, instance 124).
+X1_OVERSHOOT = """
+x1 <= 2
+x1 >= -5
+x2 <= 2
+x2 >= -5
+x3 <= 8
+x3 >= -1
+x4 <= 6
+x4 >= -7
+x4 + x3 - x2 <= 11/2
+x3 + x2 - x4 <= 7
+x1 + x3 - x4 - x2 <= 12
+x1 + x4 - x3 <= -5
+x3 + x1 - x4 - x2 <= 7
+"""
+
+# Eight random_general_constraint(rng, 5, -6, 10) rows of
+# random.Random(29102), boxed by box_constraints(5, 10): pinning x1 to 10
+# re-closes (four variables left free), and x2's re-closed interval
+# [7, 17/2] overshoots its supremum 25/3, so the supremum's oracle runs
+# after an earlier pin.
+BOXED_FIVE = """
+x3 - x1 - x4 <= 9/2
+x2 + x2 - x3 - x5 <= 1/2
+x2 + x5 - x3 - x3 <= 5
+x2 + x3 - x5 <= 5
+x1 + x1 - x2 - x5 <= 3
+x5 - x4 <= 0
+x3 + x4 - x1 <= 10
+x1 + x3 - x5 - x5 <= 0
+"""
+
+# Pinning x1 to the top of its interval, x2's closed interval is
+# [-6, 35/4], whose top overshoots; the input rows give x2 its exact top
+# once x1 is pinned.
 PINNED_OVERSHOOT = [
     "x1 <= 7",
     "x1 >= -6",
@@ -327,32 +370,42 @@ PINNED_OVERSHOOT = [
 ]
 
 
+def record_oracle(monkeypatch):
+    """The (system, objective) of each ``solver.fm_tight_bound`` call,
+    from now on."""
+    original = solver_module.fm_tight_bound
+    calls = []
+
+    def recording(system, objective):
+        calls.append((system, objective))
+        return original(system, objective)
+
+    monkeypatch.setattr(solver_module, "fm_tight_bound", recording)
+    return calls
+
+
 class TestOracleFallback:
     def test_fallback_runs_on_input_rows_and_pins(self, monkeypatch):
-        systems = []
-        original = solver_module.fm_tight_bound
-
-        def recording(system, objective):
-            systems.append(system)
-            return original(system, objective)
-
-        monkeypatch.setattr(solver_module, "fm_tight_bound", recording)
+        calls = record_oracle(monkeypatch)
+        # x1's closed top overshoots, but at n = 3 the rows give its top
         cs, n = parse_constraints(OVERSHOOT)
         report = solve(cs, n)
         assert report.witness == (Fraction(0), Fraction(1, 3), Fraction(-13, 3))
-        assert len(systems) == 1
+        assert calls == []
+        cs, n = parse_constraints(X1_OVERSHOOT)
+        report = solve(cs, n)
+        assert report.domains[0] == (-5, 2)
+        assert report.witness == (
+            0, Fraction(4, 3), Fraction(2, 3), Fraction(25, 4), Fraction(-1, 12)
+        )
+        [(system, objective)] = calls
+        assert objective == [0, 1, 0, 0, 0]
         # the input rows plus the two that fix x0 = 0; no pin precedes x1
-        assert len(systems[0].rows) <= len(cs) + 2
+        assert len(system.rows) == len(cs) + 2
 
     def test_fallback_after_a_pin_holds_the_pin(self, monkeypatch):
-        calls = []
-        original = solver_module.fm_tight_bound
-
-        def recording(system, objective):
-            calls.append((system, objective))
-            return original(system, objective)
-
-        monkeypatch.setattr(solver_module, "fm_tight_bound", recording)
+        calls = record_oracle(monkeypatch)
+        # x2's closed top overshoots, but x1's pin leaves three free
         cs, n = parse_constraints("\n".join(PINNED_OVERSHOOT))
         report = solve(cs, n)
         assert report.domains[1] == (-6, Fraction(35, 4))
@@ -363,14 +416,21 @@ class TestOracleFallback:
             Fraction(-4, 3),
             Fraction(-2, 3),
         )
+        assert calls == []
+        cs, n = parse_constraints(BOXED_FIVE)
+        cs += box_constraints(n, 10)
+        report = solve(cs, n)
+        assert report.witness == (
+            0, 10, Fraction(25, 3), Fraction(20, 3), 10, 10
+        )
         [(system, objective)] = calls
-        assert objective == [0, 0, 1, 0, 0]
-        # the two rows that fix x0 = 0, the 13 input rows and the pin
-        # x1 = 7, as x1 - x0 <= 7 and x0 - x1 <= -7
-        assert len(system.rows) == 17
+        assert objective == [0, 0, 1, 0, 0, 0]
+        # the two rows that fix x0 = 0, the 18 input rows and the pin
+        # x1 = 10, as x1 - x0 <= 10 and x0 - x1 <= -10
+        assert len(system.rows) == 22
         assert system.rows[-2:] == (
-            ((-1, 1, 0, 0, 0), 7),
-            ((1, -1, 0, 0, 0), -7),
+            ((-1, 1, 0, 0, 0, 0), 10),
+            ((1, -1, 0, 0, 0, 0), -10),
         )
 
     def test_row_budget_case_solves(self):
@@ -380,14 +440,14 @@ class TestOracleFallback:
         assert report.witness is not None
         assert all(satisfies(c, report.witness) for c in cs)
 
-    @pytest.mark.parametrize("answer", [None, INF, Fraction(9, 4)])
+    @pytest.mark.parametrize("answer", [None, INF, Fraction(2)])
     def test_failed_supremum_is_internal_error(self, monkeypatch, answer):
-        # None and +inf are no supremum; 9/4 is the overshooting closed
+        # None and +inf are no supremum; 2 is the overshooting closed
         # bound itself, so the re-pin stays infeasible.
         monkeypatch.setattr(
             solver_module, "fm_tight_bound", lambda system, objective: answer
         )
-        cs, n = parse_constraints(OVERSHOOT)
+        cs, n = parse_constraints(X1_OVERSHOOT)
         with pytest.raises(RuntimeError, match="internal error"):
             solve(cs, n)
 
@@ -434,11 +494,12 @@ def _outcome(extract, result, cs, anyway):
 
 
 def _tail_draws():
-    """Seeded mixes of the four row shapes at n = 3-6, boxed every other
+    """Seeded mixes of the five row shapes at n = 3-6, boxed every other
     draw; every third draw keeps only the rows over 2-4 of the
-    variables.  Last, a boxed three-variable system of 200 rows, which
+    variables.  Then a boxed three-variable system of 200 rows, which
     x = 0 satisfies, where many rows share a direction once x1 is
-    pinned."""
+    pinned.  Last, boxed mixes at n = 4-6 with at least n rows, where a
+    re-closed top more often overshoots."""
     rng = random.Random(2800)
     for draw in range(300):
         n = rng.randint(3, 6)
@@ -456,10 +517,17 @@ def _tail_draws():
         yield n, cs
     cs = [random_general_constraint(rng, 3, 0, 20) for _ in range(200)]
     yield 3, cs + box_constraints(3, 12)
+    for _ in range(160):
+        n = rng.randint(4, 6)
+        cs = [
+            rng.choice(SHAPES)(rng, n, -6, 10)
+            for _ in range(rng.randint(n, 2 * n + 2))
+        ]
+        yield n, cs + box_constraints(n, rng.randint(3, 12))
 
 
 class TestExactTail:
-    """Top pins that leave at most two variables of the input rows free
+    """Top pins that leave at most three variables of the input rows free
     read exact intervals off those rows instead of re-closing."""
 
     def test_free_top_by_hand(self):
@@ -483,6 +551,53 @@ class TestExactTail:
         # x1 >= 0 tops x2 at 3/2; alone, it leaves x1 unbounded above
         assert free_top(rows, d, {}, [2, 1]) == Fraction(3, 2)
         assert free_top(rows[2:], d, {}, [1]) == INF
+        # three free: x3 goes first, then x2
+        rows, d = solver_module._int_rows(
+            parse_constraints(
+                "x1 + x2 - x3 <= 2\nx3 - x2 <= 1/2\nx3 <= 4\n-x2 <= 0"
+            )[0]
+        )
+        # eliminating x3 leaves x1 <= 5/2 and x1 + x2 <= 6, then x2 >= 0
+        # turns the second into x1 <= 6
+        assert free_top(rows, d, {}, [1, 2, 3]) == Fraction(5, 2)
+        # x1 = 5/2 forces x3 = x2 + 1/2, and x3 <= 4 tops x2 at 7/2
+        assert free_top(rows, d, {1: Fraction(5, 2)}, [2, 3]) == Fraction(7, 2)
+        # x1 = 3 asks x3 - x2 >= 1 and x3 - x2 <= 1/2: infeasible
+        assert free_top(rows, d, {1: Fraction(3)}, [2, 3]) is None
+        # nothing bounds x2 above
+        assert free_top(rows, d, {}, [2, 1, 3]) == INF
+
+    def test_free_top_three_free_matches_oracle(self):
+        # x4 pinned at the oracle's point (or at 0, maybe infeasibly),
+        # x1..x3 free: the top is the oracle's supremum of x1, None
+        # exactly when the oracle finds the pinned system empty
+        rng = random.Random(2901)
+        tops = empties = 0
+        for draw in range(150):
+            n = rng.randint(3, 4)
+            cs = [
+                rng.choice(SHAPES)(rng, n, -6, 10)
+                for _ in range(rng.randint(n, 3 * n))
+            ] + box_constraints(n, rng.randint(3, 12))[: 2 * n - draw % 2]
+            point = fm_solution(LinearSystem.from_constraints(cs, n))
+            pins = {
+                k: Fraction(0) if point is None or draw % 3 == 0 else point[k]
+                for k in range(4, n + 1)
+            }
+            pinned = [*cs]
+            for k, v in pins.items():
+                pinned += solver_module._pin_constraints(k, v)
+            system = LinearSystem.from_constraints(pinned, n)
+            got = solver_module._free_top(
+                *solver_module._int_rows(cs), pins, [1, 2, 3]
+            )
+            if not fm_feasible(system):
+                assert got is None
+                empties += 1
+            else:
+                assert got == fm_tight_bound(system, [0, 1] + [0] * (n - 1))
+                tops += got != INF
+        assert tops >= 40 and empties >= 20
 
     def test_boxed_three_variables_run_one_close(self, monkeypatch):
         calls = count_closes(monkeypatch)
@@ -492,9 +607,8 @@ class TestExactTail:
         assert report.witness is not None
         assert calls == [None]
 
-    def test_boxed_four_variables_run_two_closes(self, monkeypatch):
-        # x1's pin re-closes from its two cells; x2's overshoots, and
-        # its oracle fallback, x3 and x4 run no close
+    def test_boxed_four_variables_run_one_close(self, monkeypatch):
+        # x1's pin leaves three variables free: no close
         calls = count_closes(monkeypatch)
         cs, n = parse_constraints("\n".join(PINNED_OVERSHOOT))
         report = solve(cs, n)
@@ -502,7 +616,20 @@ class TestExactTail:
         assert report.witness == (
             0, 7, Fraction(23, 3), Fraction(-4, 3), Fraction(-2, 3)
         )
-        assert calls == [None, [(0, 5), (0, 1)]]
+        assert calls == [None]
+
+    def test_boxed_five_variables_run_two_closes(self, monkeypatch):
+        # x1's pin leaves four free and re-closes from its two cells;
+        # x2's overshoots, and its oracle fallback, x3, x4 and x5 run
+        # no close
+        calls = count_closes(monkeypatch)
+        cs, n = parse_constraints(BOXED_FIVE)
+        report = solve(cs + box_constraints(n, 10), n)
+        assert report.closed.exactness is Exactness.UPPER_APPROX
+        assert report.witness == (
+            0, 10, Fraction(25, 3), Fraction(20, 3), 10, 10
+        )
+        assert calls == [None, [(0, 6), (0, 1)]]
 
     def test_matches_reclosing_chain(self, monkeypatch):
         infeasible = []
@@ -529,11 +656,45 @@ class TestExactTail:
                 else:
                     assert all(satisfies(c, got) for c in cs)
                     witnesses += 1
-        # 336 witnesses, and 154 ValueErrors of unbounded draws without
-        # witness_anyway; the input rows find 3 of 594 tail pins
-        # infeasible, and those fall back to the oracle
+        # 544 witnesses, and 154 ValueErrors of unbounded draws without
+        # witness_anyway; the input rows find 3 of 1,621 tail pins and
+        # first tops infeasible, and those fall back to the oracle
         assert witnesses >= 300 and raised >= 100
         assert sum(infeasible) >= 3
+
+
+class TestViolated:
+    """``solve``'s substitution check, on ints over the witness's common
+    denominator."""
+
+    def test_mixed_denominators(self):
+        witness = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))
+        cs, _ = parse_constraints(
+            "x1 + x2 <= 5/6\nx1 - x2 <= 1/6\nx3 - x1 - x2 <= -1/12\n"
+            "x1 + x3 - x2 - x2 <= 7/12"
+        )
+        # each row holds with equality
+        assert solver_module._violated(cs, witness) is None
+        assert all(satisfies(c, witness) for c in cs)
+
+    def test_violation_by_a_sixth(self):
+        witness = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
+        cs, _ = parse_constraints("x1 + x2 <= 1\nx1 - x2 <= 0\nx2 <= 0")
+        # x1 - x2 = 1/6 > 0 is the first violated row; x2 <= 0 is the next
+        assert solver_module._violated(cs, witness) == cs[1]
+        assert solver_module._violated(cs[2:], witness) == cs[2]
+        assert solver_module._violated(cs[:1], witness) is None
+
+    def test_infinite_bound_holds(self):
+        witness = (Fraction(0), Fraction(10**9), Fraction(-7, 3))
+        rows = [
+            Constraint4(1, 0, 0, 0, INF),
+            Constraint4(1, 2, 0, 0, INF),
+            make_constraint([2], [], Fraction(-7, 3)),
+        ]
+        assert solver_module._violated(rows, witness) is None
+        rows.append(make_constraint([1], [2], Fraction(10**9)))
+        assert solver_module._violated(rows, witness) == rows[-1]
 
 
 class TestSolve:
