@@ -7,13 +7,15 @@ pair-indexed matrix, one per normal-vector class, and tightens it by
 iterated min-plus composition; a matrix whose finite classes are all
 octagonal is closed instead by strong closure on a 2n-node
 difference-bound matrix and one pass over the other classes' splits.
-Fourier-Motzkin elimination is its independent oracle: it cross-checks
-verdicts on request and backs witness pins the closure cannot settle.
+Fourier-Motzkin elimination on integers is its independent oracle: it
+cross-checks verdicts on request and backs witness pins the closure
+cannot settle, and its elimination step gives the witness its last
+three values from the input rows.
 An infeasible verdict is explained by a simple hypercycle of negative
 weight, found by enumerating positively dependent constraint subsets.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .core import (
     INF,

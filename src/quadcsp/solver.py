@@ -44,7 +44,8 @@ with no close.  With every pin substituted, each row reads
 a * xa + b * xb + c * xc <= r; pairing each row where c > 0 with each
 where c < 0 eliminates xc, one Fourier-Motzkin step (Dantzig & Eaves,
 "Fourier-Motzkin elimination and its dual", J. Comb. Theory A, 1973),
-a second such step eliminates xb, and elimination projects exactly.
+a second such step eliminates xb, and elimination projects exactly
+(the oracle's own step, ``fmoracle._eliminate``, on ints).
 So the rows left give xa's exact interval given the pins: empty
 exactly when the pin is infeasible, and topped by xa's supremum, which
 xa's pin then takes without reading the matrix; xb's top given xa, and
@@ -61,9 +62,8 @@ infeasible and falls back to the oracle's supremum, and one that the
 closure wrongly accepted would fail ``solve``'s substitution.  So the
 exact tail gives the same witness, and does not need the closure to
 catch an overshoot: a solve of at most three variables of the input
-rows, none unbounded, runs one close and no oracle.  Coefficients stay
-small (at most 2, then 8, in magnitude), so the two eliminations cost
-at most 50 x 50 and 136 x 136 pairings of rows (see ``_free_top``).
+rows, none unbounded, runs one close and no oracle call.  Its two
+steps stay well inside the oracle's row budget (see ``_free_top``).
 
 Every other pin of an ``UpperApprox`` closure (every pass-1 pin, and
 every top pin that leaves four or more variables of the input rows
@@ -96,7 +96,15 @@ from .core import (
     is_finite,
     make_constraint,
 )
-from .fmoracle import LinearSystem, fm_solution, fm_tight_bound
+from .fmoracle import (
+    DEFAULT_ROW_CAP,
+    LinearSystem,
+    _eliminate,
+    _ends,
+    _tighten,
+    fm_solution,
+    fm_tight_bound,
+)
 from .matrix2d import Matrix2D, load
 
 Interval = tuple[Bound, Bound]
@@ -229,19 +237,21 @@ def _free_top(
     in ``free``, which is sorted and holds at most three; +inf when no
     row bounds free[0] above, or when nothing is free.
 
-    Substituted, a row reads sum(a_s * free[s]) <= r; the least r of
-    each coefficient tuple (a_0, ...) is kept.  Then free[-1], ...,
-    free[1] are eliminated in turn, each by pairing the rows with a
-    positive coefficient on it with those with a negative one (one
-    Fourier-Motzkin step, exact), again keeping the least r per tuple,
-    and free[0]'s interval is read off what is left.  All on ints over
-    one denominator.  Input coefficients lie in [-2, 2], so with three
-    free there are at most 124 nonzero tuples and 50 x 50 pairs, then
-    at most 289 tuples (coefficients of magnitude at most 8) and
-    136 x 136 pairs: about 9 ms when all 124 tuples occur.  Rows of the
-    form (xi - xj) - (xp - xq) reach only the 54 with at most two
-    positive and two negative units (under 1 ms), and a few boxed rows
-    take tens of microseconds.
+    Substituted, a row reads sum(a_s * free[s]) <= r over ``scale``; a
+    row with no free variable only checks the pins, and the others go
+    into ``fmoracle``'s rows on ints (a primitive direction and its
+    least bound).  Then ``fmoracle._eliminate``, the oracle's own
+    Fourier-Motzkin step, eliminates free[-1], ..., free[1] in turn,
+    and free[0]'s interval is read off what is left by the same
+    ``fmoracle._ends`` that gives ``fm_tight_bound`` its supremum.
+    Input coefficients lie in [-2, 2], so with three free there are at
+    most 124 nonzero directions and 50 x 50 pairs, then at most 289
+    (coefficients of magnitude at most 8), of which 17 have no free[1]
+    and the rest pair as at most 136 x 136: fewer than 20,000 rows, so
+    the tail never reaches the oracle's row budget.  About 5 ms when
+    all 124 directions occur; rows of the form (xi - xj) - (xp - xq)
+    reach only the 54 with at most two positive and two negative units
+    (under 1 ms), and a few boxed rows take tens of microseconds.
 
     ``extract_witness`` calls it for each top pin that leaves at most
     three variables of the rows free, and for the first top when the
@@ -251,7 +261,7 @@ def _free_top(
     at = {k: v.numerator * (scale // v.denominator) for k, v in pins.items()}
     slot = {v: s for s, v in enumerate(free)}
     up = scale // d
-    least: dict[tuple[int, ...], int] = {}
+    least = {}
     for terms, r in rows:
         r *= up
         key = [0] * len(free)
@@ -260,42 +270,17 @@ def _free_top(
                 key[slot[v]] = c
             else:
                 r -= c * at[v]
-        key = tuple(key)
-        if least.get(key, r) >= r:
-            least[key] = r
-    for s in range(len(free) - 1, 0, -1):
-        tops, bottoms, kept = [], [], {}
-        for key, r in least.items():
-            b, rest = key[s], key[:s]
-            if b > 0:
-                tops.append((rest, b, r))
-            elif b < 0:
-                bottoms.append((rest, -b, r))
-            else:
-                kept[rest] = r
-        for t, b1, r1 in tops:
-            for u, b2, r2 in bottoms:
-                key = tuple([x * b2 + y * b1 for x, y in zip(t, u)])
-                r = r1 * b2 + r2 * b1
-                if kept.get(key, r) >= r:
-                    kept[key] = r
-        least = kept
-    hi = lo = None  # an end p / q as (p, q), q > 0
-    for key, r in least.items():
-        a = key[0] if key else 0
-        if a > 0:
-            if hi is None or r * hi[1] < hi[0] * a:
-                hi = (r, a)
-        elif a < 0:
-            if lo is None or r * lo[1] < lo[0] * a:
-                lo = (-r, -a)
+        if any(key):
+            _tighten(least, tuple(key), r, 1)
         elif r < 0:
-            return None
-    if hi is None:
-        return INF
-    if lo is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+            return None  # the pins violate this row
+    for s in range(len(free) - 1, 0, -1):
+        least = _eliminate(least, s, DEFAULT_ROW_CAP)
+    ends = _ends(least, 0)
+    if ends is None:
         return None
-    return Fraction(hi[0], hi[1] * scale)
+    hi = ends[1]
+    return INF if hi is None else Fraction(hi[0], hi[1] * scale)
 
 
 def extract_witness(

@@ -26,6 +26,11 @@ a convenient way to build inputs:
   ``UpperApprox`` closure, against which the tests check
   ``solver.extract_witness``, whose last three such pins read exact
   intervals off the input rows instead.
+- Fourier-Motzkin elimination on ``Fraction`` rows, each scaled so its
+  largest coefficient is 1 (``reference_rows_solution``,
+  ``reference_fm_feasible``, ``reference_fm_tight_bound``), against
+  which the tests check ``fmoracle``'s elimination on ints and the
+  witness tail that shares it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from quadcsp.closure import ClosureResult, Exactness, _term_parts
 from quadcsp.core import (
@@ -49,7 +54,7 @@ from quadcsp.core import (
     is_finite,
     normal_vector,
 )
-from quadcsp.fmoracle import LinearSystem, rows_solution
+from quadcsp.fmoracle import DEFAULT_ROW_CAP, LinearSystem, ResourceLimitError
 from quadcsp.lindep import (
     DEFAULT_MAX_CONSTRAINTS,
     DEFAULT_MAX_SIZE,
@@ -128,7 +133,7 @@ def _positive_point(vecs: Sequence[Sequence]) -> tuple[Fraction, ...] | None:
         rows.append(
             (tuple(-basis[dd][k] for dd in range(d)), Fraction(-1))
         )
-    t = rows_solution(rows, d)
+    t = reference_rows_solution(rows, d)
     if t is None:
         return None
     return tuple(
@@ -571,3 +576,181 @@ def reference_extract_witness(
                 raise RuntimeError(f"internal error: x{k} is unbounded above")
             pin(k, hi, _oracle_supremum, "supremum")
     return (Fraction(0), *(pins[k] for k in range(1, m.n + 1)))
+
+
+# --- Fourier-Motzkin elimination on Fractions ---------------------------------
+
+FracRow = tuple[tuple[Fraction, ...], Fraction]
+
+
+def _canonical(coeffs: Sequence[Fraction], bound: Fraction) -> FracRow:
+    """Scale a row by a positive factor so equal half-spaces compare equal."""
+    scale = max((abs(c) for c in coeffs if c), default=None)
+    if scale is None or scale == 1:
+        return tuple(coeffs), bound
+    return tuple(c / scale for c in coeffs), bound / scale
+
+
+def _prune(rows: Iterable[FracRow]) -> list[FracRow]:
+    """Pairwise dominance: identical directions keep the smallest bound."""
+    best: dict[tuple[Fraction, ...], Fraction] = {}
+    for coeffs, bound in rows:
+        seen = best.get(coeffs)
+        if seen is None or bound < seen:
+            best[coeffs] = bound
+    return list(best.items())
+
+
+def _contradiction(rows: Iterable[FracRow]) -> bool:
+    return any(not any(coeffs) and bound < 0 for coeffs, bound in rows)
+
+
+def _eliminate_variable(
+    rows: list[FracRow], v: int, row_cap: int
+) -> list[FracRow]:
+    pos: list[FracRow] = []
+    neg: list[FracRow] = []
+    keep: list[FracRow] = []
+    for row in rows:
+        a = row[0][v]
+        if a > 0:
+            pos.append(row)
+        elif a < 0:
+            neg.append(row)
+        else:
+            keep.append(row)
+    if len(keep) + len(pos) * len(neg) > row_cap:
+        raise ResourceLimitError(
+            f"eliminating variable {v} would produce more than "
+            f"{row_cap} rows"
+        )
+    out = keep
+    for cp, bp in pos:
+        ap = cp[v]
+        for cn, bn in neg:
+            an = -cn[v]
+            coeffs = tuple(an * x + ap * y for x, y in zip(cp, cn))
+            out.append(_canonical(coeffs, an * bp + ap * bn))
+    return _prune(out)
+
+
+def _run(
+    rows: list[FracRow], order: Sequence[int], row_cap: int, record: bool
+):
+    """Eliminate variables in order.
+
+    Returns (final rows, snapshots, feasible) where snapshots pairs each
+    eliminated variable with the row state just before its elimination.
+    Stops early on a contradictory constant row.
+    """
+    rows = _prune(_canonical(c, b) for c, b in rows)
+    snapshots: list[tuple[int, list[FracRow]]] = []
+    for v in order:
+        if _contradiction(rows):
+            return rows, snapshots, False
+        if record:
+            snapshots.append((v, rows))
+        rows = _eliminate_variable(rows, v, row_cap)
+    return rows, snapshots, not _contradiction(rows)
+
+
+def _rows_feasible(
+    rows: Iterable[FracRow],
+    nvars: int,
+    order: Sequence[int] | None = None,
+    row_cap: int = DEFAULT_ROW_CAP,
+) -> bool:
+    """Exact feasibility of a generic rational inequality system."""
+    order = list(order) if order is not None else list(range(nvars))
+    _, _, ok = _run(list(rows), order, row_cap, record=False)
+    return ok
+
+
+def reference_rows_solution(
+    rows: Iterable[FracRow],
+    nvars: int,
+    order: Sequence[int] | None = None,
+    row_cap: int = DEFAULT_ROW_CAP,
+) -> tuple[Fraction, ...] | None:
+    """A rational point satisfying every row, or None when infeasible.
+
+    Back-substitutes through the elimination snapshots; each variable
+    takes its lower bound when one exists, otherwise the smaller of its
+    upper bound and 0 (deterministic).
+    """
+    order = list(order) if order is not None else list(range(nvars))
+    _, snapshots, ok = _run(list(rows), order, row_cap, record=True)
+    if not ok:
+        return None
+    values: dict[int, Fraction] = {v: Fraction(0) for v in range(nvars)}
+    for v, state in reversed(snapshots):
+        lo: Fraction | None = None
+        hi: Fraction | None = None
+        for coeffs, bound in state:
+            a = coeffs[v]
+            if a == 0:
+                continue
+            rest = sum(
+                (c * values[u] for u, c in enumerate(coeffs) if u != v and c),
+                Fraction(0),
+            )
+            limit = (bound - rest) / a
+            if a > 0:
+                hi = limit if hi is None else min(hi, limit)
+            else:
+                lo = limit if lo is None else max(lo, limit)
+        if lo is not None and hi is not None and lo > hi:
+            raise RuntimeError(
+                "internal error: back-substitution interval is empty"
+            )
+        if lo is not None:
+            values[v] = lo
+        elif hi is not None:
+            values[v] = min(hi, Fraction(0))
+        else:
+            values[v] = Fraction(0)
+    return tuple(values[v] for v in range(nvars))
+
+
+def reference_fm_feasible(
+    sys: LinearSystem, row_cap: int = DEFAULT_ROW_CAP
+) -> bool:
+    """True iff the rational polyhedron is nonempty."""
+    return _rows_feasible(
+        sys.rows, sys.n + 1, sys.elimination_order(), row_cap
+    )
+
+
+def reference_fm_tight_bound(
+    sys: LinearSystem,
+    objective: Sequence[int | Fraction],
+    row_cap: int = DEFAULT_ROW_CAP,
+) -> Bound:
+    """Exact supremum of objective . x over the polyhedron (+inf if unbounded).
+
+    Introduces z = objective . x, eliminates every variable but z, and
+    reads the supremum off the remaining single-variable rows.  Raises
+    ValueError when the system is infeasible.
+    """
+    width = sys.n + 1
+    if len(objective) != width:
+        raise ValueError(f"objective width {len(objective)} != {width}")
+    obj = [Fraction(v) for v in objective]
+    z = width
+    rows: list[FracRow] = [
+        (coeffs + (Fraction(0),), bound) for coeffs, bound in sys.rows
+    ]
+    rows.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0)))
+    rows.append((tuple(obj) + (Fraction(-1),), Fraction(0)))
+
+    final, _, ok = _run(rows, sys.elimination_order(), row_cap, record=False)
+    if not ok:
+        raise ValueError("fm_tight_bound requires a feasible system")
+    sup: Bound = INF
+    for coeffs, bound in final:
+        a = coeffs[z]
+        if a > 0:
+            limit = bound / a
+            if limit < sup:
+                sup = limit
+    return sup

@@ -1,6 +1,7 @@
 """Fourier-Motzkin oracle: exact feasibility, witnesses, tight bounds."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,18 @@ from quadcsp.fmoracle import (
     rows_feasible,
     rows_solution,
 )
-from gen import box_constraints, random_general_constraint
+from gen import (
+    box_constraints,
+    random_general_constraint,
+    random_lower_bound_constraint,
+    random_octagon_constraint,
+    random_upper_bound_constraint,
+)
+from reference import (
+    reference_fm_feasible,
+    reference_fm_tight_bound,
+    reference_rows_solution,
+)
 
 SEVEN = """
 x1 - x2 - x3 <= 3
@@ -208,3 +220,70 @@ class TestGenericRows:
         ]
         assert not rows_feasible(rows, 1)
         assert rows_solution(rows, 1) is None
+
+    def test_every_variable_is_eliminated(self):
+        # x1 <= -1 and -x1 <= -1: no elimination order can skip x1
+        rows = [((1,), -1), ((-1,), -1)]
+        assert not rows_feasible(rows, 1)
+        assert rows_solution(rows, 1) is None
+        with pytest.raises(TypeError):
+            rows_feasible(rows, 1, order=[])
+
+
+def _outcome(f, *args):
+    """What ``f`` returns, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ResourceLimitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstFractionElimination:
+    def test_same_answers_and_budget_errors(self):
+        # the elimination on ints keeps the same rows as the one on
+        # Fractions (tests/reference.py), so every verdict, point and
+        # supremum, and every row-budget error, must be the same
+        shapes = (
+            random_general_constraint,
+            random_upper_bound_constraint,
+            random_lower_bound_constraint,
+            random_octagon_constraint,
+        )
+        rng = random.Random(3001)
+        seen = Counter()
+        for draw in range(1000):
+            n = rng.randint(2, 6)
+            count = rng.randint(n, 3 * n)
+            cs = [rng.choice(shapes)(rng, n) for _ in range(count)]
+            if draw % 2:
+                cs += box_constraints(n, rng.randint(3, 12))
+            cap = (50, 200, 1000, 20_000)[draw // 2 % 4]
+            sys = LinearSystem.from_constraints(cs, n)
+            quad = [rng.randint(0, n) for _ in range(4)]
+            target = make_constraint(quad[:2], quad[2:], Fraction(0))
+            objective = normal_vector(target, n)
+            got = (
+                _outcome(fm_feasible, sys, cap),
+                _outcome(fm_solution, sys, cap),
+                _outcome(fm_tight_bound, sys, objective, cap),
+            )
+            assert got == (
+                _outcome(reference_fm_feasible, sys, cap),
+                _outcome(
+                    reference_rows_solution,
+                    sys.rows, n + 1, sys.elimination_order(), cap,
+                ),
+                _outcome(reference_fm_tight_bound, sys, objective, cap),
+            )
+            for answer in got:
+                if isinstance(answer, tuple) and isinstance(answer[0], type):
+                    seen[answer[0], cap] += 1
+                else:
+                    seen[type(answer)] += 1
+        # 431 points and 560 infeasible draws; 292 finite suprema and 134
+        # unbounded; 51 budget errors: 39 at a cap of 50, 9 at 200, 2 at
+        # 1000 and 1 at 20000
+        assert seen[tuple] >= 400 and seen[type(None)] >= 500
+        assert seen[Fraction] >= 250 and seen[float] >= 100
+        for cap in (50, 200, 1000, 20_000):
+            assert seen[ResourceLimitError, cap] >= 1

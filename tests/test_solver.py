@@ -16,7 +16,7 @@ from quadcsp.core import (
     parse_constraints,
     satisfies,
 )
-from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_solution, fm_tight_bound
+from quadcsp.fmoracle import LinearSystem, fm_feasible, fm_tight_bound
 from quadcsp.matrix2d import load, new_matrix
 from quadcsp.solver import extract_witness, is_bounded, reduce_domains, solve
 from gen import (
@@ -27,7 +27,12 @@ from gen import (
     random_octagon_constraint,
     random_upper_bound_constraint,
 )
-from reference import reference_extract_witness
+from reference import (
+    reference_extract_witness,
+    reference_fm_feasible,
+    reference_fm_tight_bound,
+    reference_rows_solution,
+)
 
 SEVEN = """
 x1 - x2 - x3 <= 3
@@ -579,7 +584,10 @@ class TestExactTail:
                 rng.choice(SHAPES)(rng, n, -6, 10)
                 for _ in range(rng.randint(n, 3 * n))
             ] + box_constraints(n, rng.randint(3, 12))[: 2 * n - draw % 2]
-            point = fm_solution(LinearSystem.from_constraints(cs, n))
+            unpinned = LinearSystem.from_constraints(cs, n)
+            point = reference_rows_solution(
+                unpinned.rows, n + 1, unpinned.elimination_order()
+            )
             pins = {
                 k: Fraction(0) if point is None or draw % 3 == 0 else point[k]
                 for k in range(4, n + 1)
@@ -591,11 +599,12 @@ class TestExactTail:
             got = solver_module._free_top(
                 *solver_module._int_rows(cs), pins, [1, 2, 3]
             )
-            if not fm_feasible(system):
+            if not reference_fm_feasible(system):
                 assert got is None
                 empties += 1
             else:
-                assert got == fm_tight_bound(system, [0, 1] + [0] * (n - 1))
+                objective = [0, 1] + [0] * (n - 1)
+                assert got == reference_fm_tight_bound(system, objective)
                 tops += got != INF
         assert tops >= 40 and empties >= 20
 
@@ -752,7 +761,10 @@ class TestSolve:
             report = solve(cs, n)
             if not report.feasible:
                 continue
-            point = fm_solution(LinearSystem.from_constraints(cs, n))
+            unpinned = LinearSystem.from_constraints(cs, n)
+            point = reference_rows_solution(
+                unpinned.rows, n + 1, unpinned.elimination_order()
+            )
             assert point is not None
             for i in range(1, n + 1):
                 lo, hi = report.domains[i - 1]
